@@ -67,7 +67,7 @@ impl IntoIterator for BatchRequest {
     type IntoIter = std::vec::IntoIter<CheckRequest>;
 
     /// Consumes the batch into its requests, e.g. to rewrite them
-    /// (`batch.into_iter().map(|r| r.backend(b)).collect()`).
+    /// (`batch.into_iter().map(|r| r.engine(e)).collect()`).
     fn into_iter(self) -> Self::IntoIter {
         self.requests.into_iter()
     }
@@ -117,6 +117,36 @@ pub struct BatchStats {
     pub wall_micros: u128,
 }
 
+impl BatchStats {
+    /// Folds one request's result into the aggregates. Cache hits are
+    /// counted off the report's own `cache_hit` flag, not off the
+    /// session-global counter, so concurrent activity on the same
+    /// session is never misattributed.
+    pub fn record(&mut self, result: Result<&CheckReport, &CheckError>) {
+        self.jobs += 1;
+        match result {
+            Ok(r) => {
+                self.ok += 1;
+                self.cache_hits += usize::from(r.cache_hit());
+                self.interrupted += usize::from(r.interrupt().is_some());
+                self.explore = self.explore.merged(&r.stats());
+                if let CheckReport::Litmus(l) = r {
+                    // An interrupted litmus run never completed its
+                    // verdict — a deadline hit is not a failure.
+                    if !l.pass && r.interrupt().is_none() {
+                        self.litmus_failed += 1;
+                    }
+                }
+            }
+            Err(CheckError::Overloaded) => self.overloaded += 1,
+            // A cancelled waiter is an interruption, not a job failure —
+            // mirror the report-level statuses.
+            Err(CheckError::Cancelled) => self.interrupted += 1,
+            Err(_) => self.errors += 1,
+        }
+    }
+}
+
 /// The response to a [`BatchRequest`]: per-request results in submission
 /// order plus the aggregates.
 #[derive(Clone, Debug)]
@@ -130,40 +160,17 @@ pub struct BatchReport {
 
 impl BatchReport {
     /// Builds the report from collected per-job results (submission
-    /// order) and the batch's wall time. Cache hits are counted off the
-    /// reports themselves (their `cache_hit` flag), not off the
-    /// session-global counter — concurrent activity on the same session
-    /// must not be misattributed to this batch.
+    /// order) and the batch's wall time.
     pub(crate) fn aggregate(
         reports: Vec<Result<CheckReport, CheckError>>,
         wall: Duration,
     ) -> BatchReport {
         let mut stats = BatchStats {
-            jobs: reports.len(),
             wall_micros: wall.as_micros(),
             ..BatchStats::default()
         };
-        for report in reports.iter() {
-            match report {
-                Ok(r) => {
-                    stats.ok += 1;
-                    stats.cache_hits += usize::from(r.cache_hit());
-                    stats.interrupted += usize::from(r.interrupt().is_some());
-                    stats.explore = stats.explore.merged(&r.stats());
-                    if let CheckReport::Litmus(l) = r {
-                        // An interrupted litmus run never completed its
-                        // verdict — a deadline hit is not a failure.
-                        if !l.pass && r.interrupt().is_none() {
-                            stats.litmus_failed += 1;
-                        }
-                    }
-                }
-                Err(CheckError::Overloaded) => stats.overloaded += 1,
-                // A cancelled waiter is an interruption, not a job
-                // failure — mirror the report-level statuses.
-                Err(CheckError::Cancelled) => stats.interrupted += 1,
-                Err(_) => stats.errors += 1,
-            }
+        for report in &reports {
+            stats.record(report.as_ref());
         }
         BatchReport { reports, stats }
     }

@@ -32,6 +32,7 @@ pub mod batch;
 pub mod json;
 pub mod net;
 pub(crate) mod persist;
+pub mod service;
 pub mod session;
 
 pub use batch::{BatchReport, BatchRequest, BatchStats};
@@ -67,12 +68,21 @@ pub enum ModelChoice {
 }
 
 impl ModelChoice {
-    fn as_str(&self) -> &'static str {
+    /// Every model, in schema order.
+    pub const ALL: [ModelChoice; 3] = [ModelChoice::Ra, ModelChoice::Sc, ModelChoice::PreExecution];
+
+    /// The request / report spelling (`"ra"`, `"sc"`, `"pre-execution"`).
+    pub fn as_str(&self) -> &'static str {
         match self {
             ModelChoice::Ra => "ra",
             ModelChoice::Sc => "sc",
             ModelChoice::PreExecution => "pre-execution",
         }
+    }
+
+    /// Parses a spelling (the inverse of [`ModelChoice::as_str`]).
+    pub fn parse(s: &str) -> Option<ModelChoice> {
+        ModelChoice::ALL.into_iter().find(|m| m.as_str() == s)
     }
 }
 
@@ -145,59 +155,6 @@ impl Bounds {
             .max_depth(self.max_depth)
             .store(self.store)
             .symmetry(self.symmetry)
-    }
-}
-
-/// The legacy single-axis backend spelling, kept one deprecation cycle
-/// as sugar over the [`Engine`] × [`Reduction`] pair that replaced it
-/// (see [`CheckRequest::engine`] / [`CheckRequest::reduction`]).
-///
-/// Exhaustive selections (everything reachable through this enum)
-/// produce identical reports for the same request (pinned corpus-wide
-/// by the test suite) — they differ only in how much work it takes.
-/// Sole exception: a search cut by the `max_states` safety cap keeps an
-/// engine-dependent prefix of the state space (exploration order
-/// differs across engines), so cap-truncated reports agree on
-/// `truncated` but not necessarily on the surviving outcomes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// The sequential BFS reference engine (deterministic).
-    #[default]
-    Sequential,
-    /// The contention-free parallel engine (worker-private queues, a
-    /// striped lock-free visited filter, per-worker arenas).
-    Parallel {
-        /// Worker threads (clamped to ≥ 1).
-        workers: usize,
-    },
-    /// The sleep-set dynamic-partial-order-reduction engine: same states
-    /// and verdicts as [`Backend::Sequential`], strictly fewer generated
-    /// transitions on programs with independent steps.
-    #[deprecated(
-        since = "0.10.0",
-        note = "spell it as Engine::Sequential + Reduction::SleepSet \
-                (CheckRequest::engine / CheckRequest::reduction)"
-    )]
-    Dpor,
-}
-
-impl Backend {
-    /// The [`Engine`] axis this legacy spelling names.
-    pub fn engine(&self) -> Engine {
-        #[allow(deprecated)]
-        match self {
-            Backend::Sequential | Backend::Dpor => Engine::Sequential,
-            Backend::Parallel { workers } => Engine::Parallel { workers: *workers },
-        }
-    }
-
-    /// The [`Reduction`] axis this legacy spelling names.
-    pub fn reduction(&self) -> Reduction {
-        #[allow(deprecated)]
-        match self {
-            Backend::Dpor => Reduction::SleepSet,
-            _ => Reduction::None,
-        }
     }
 }
 
@@ -455,15 +412,6 @@ impl CheckRequest {
         self
     }
 
-    /// Selects engine and reduction through the legacy [`Backend`]
-    /// spelling — sugar for [`CheckRequest::engine`] +
-    /// [`CheckRequest::reduction`], kept one deprecation cycle.
-    pub fn backend(mut self, b: Backend) -> Self {
-        self.engine = b.engine();
-        self.reduction = b.reduction();
-        self
-    }
-
     /// Selects the question to answer.
     pub fn mode(mut self, m: Mode) -> Self {
         self.mode = m;
@@ -496,10 +444,10 @@ impl CheckRequest {
     /// Runs the request on a throwaway [`Session`], inline on the calling
     /// thread (no pool threads are spawned, no cache outlives the call).
     ///
-    /// This one-shot form is kept for one deprecation cycle as
-    /// convenience sugar; consumers issuing more than one request should
-    /// hold a [`Session`] and get result caching, job scheduling and
-    /// batch submission for free.
+    /// Sugar for `Session::new(SessionConfig::default()).run(req)`, the
+    /// shortest way to ask one question. Consumers issuing more than one
+    /// request should hold a [`Session`] and get result caching, job
+    /// scheduling and batch submission for free.
     pub fn run(self) -> Result<CheckReport, CheckError> {
         Session::new(SessionConfig::default()).run(self)
     }
@@ -1185,7 +1133,7 @@ mod tests {
     fn outcomes_sequential_and_parallel_agree() {
         let seq = CheckRequest::program(SB).run().unwrap();
         let par = CheckRequest::program(SB)
-            .backend(Backend::Parallel { workers: 4 })
+            .engine(Engine::Parallel { workers: 4 })
             .run()
             .unwrap();
         let (CheckReport::Outcomes(a), CheckReport::Outcomes(b)) = (&seq, &par) else {
@@ -1270,7 +1218,7 @@ mod tests {
             .unwrap();
         let par = CheckRequest::program(SB_LABELED)
             .mode(Mode::Invariant(mk()))
-            .backend(Backend::Parallel { workers: 2 })
+            .engine(Engine::Parallel { workers: 2 })
             .run()
             .unwrap();
         let (CheckReport::Invariant(a), CheckReport::Invariant(b)) = (&seq, &par) else {
@@ -1391,25 +1339,6 @@ mod tests {
         assert!(dpor
             .to_json()
             .contains("\"reduction\":{\"kind\":\"sleep-set\",\"contract\":\"exhaustive\"}"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_dpor_backend_shims_to_sequential_sleep_set() {
-        let report = CheckRequest::program(SB)
-            .backend(Backend::Dpor)
-            .run()
-            .unwrap();
-        let meta = report.meta();
-        assert_eq!(meta.engine, Engine::Sequential);
-        assert_eq!(meta.reduction, Reduction::SleepSet);
-        assert_eq!(Backend::Dpor.engine(), Engine::Sequential);
-        assert_eq!(Backend::Dpor.reduction(), Reduction::SleepSet);
-        assert_eq!(
-            Backend::Parallel { workers: 3 }.engine(),
-            Engine::Parallel { workers: 3 }
-        );
-        assert_eq!(Backend::Sequential.reduction(), Reduction::None);
     }
 
     #[test]

@@ -144,7 +144,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 /// frames carry). Errors are strings destined for the error response.
 pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
     let obj = v.as_obj().ok_or("request must be a JSON object")?;
-    const KNOWN: [&str; 15] = [
+    const KNOWN: [&str; 14] = [
         "id",
         "program",
         "litmus_path",
@@ -153,7 +153,6 @@ pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
         "mode",
         "engine",
         "reduction",
-        "backend",
         "bounds",
         "store",
         "symmetry",
@@ -196,12 +195,10 @@ pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
         CheckRequest::litmus(test)
     };
     if let Some(model) = v.get("model") {
-        req = req.model(match model.as_str() {
-            Some("ra") => ModelChoice::Ra,
-            Some("sc") => ModelChoice::Sc,
-            Some("pre-execution") => ModelChoice::PreExecution,
-            _ => return Err("\"model\" must be \"ra\", \"sc\" or \"pre-execution\"".to_string()),
-        });
+        req = req.model(model.as_str().and_then(ModelChoice::parse).ok_or_else(|| {
+            let spellings = ModelChoice::ALL.map(|m| m.as_str());
+            format!("\"model\" must be {}", one_of(&spellings))
+        })?);
     }
     if let Some(mode) = v.get("mode") {
         req = req.mode(match mode.as_str() {
@@ -214,122 +211,11 @@ pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
             _ => return Err("\"mode\" must be \"outcomes\", \"count\" or \"litmus\"".to_string()),
         });
     }
-    if let Some(backend) = v.get("backend") {
-        // The legacy single-axis spelling, kept one deprecation cycle.
-        // Two sub-spellings: the bare kind string ("backend":"dpor") or
-        // the old report-schema object
-        // ("backend":{"kind":"parallel","workers":4}). "dpor" shims to
-        // the sequential engine with the sleep-set reduction.
-        if v.get("engine").is_some() || v.get("reduction").is_some() {
-            return Err(
-                "\"backend\" is the legacy spelling of \"engine\"/\"reduction\"; send one or the other"
-                    .to_string(),
-            );
-        }
-        req = if let Some(kind) = backend.as_str() {
-            match kind {
-                "sequential" => req.engine(Engine::Sequential),
-                "dpor" => req.reduction(Reduction::SleepSet),
-                "parallel" => req.engine(Engine::Parallel { workers: 2 }),
-                _ => {
-                    return Err(
-                        "\"backend\" must be \"sequential\", \"parallel\" or \"dpor\"".into(),
-                    );
-                }
-            }
-        } else {
-            let fields = backend.as_obj().ok_or("\"backend\" must be an object")?;
-            for (key, _) in fields {
-                if key != "kind" && key != "workers" {
-                    return Err(format!("unknown \"backend\" key {key:?}"));
-                }
-            }
-            match backend.get("kind").and_then(Json::as_str) {
-                Some("sequential") => req.engine(Engine::Sequential),
-                Some("dpor") => req.reduction(Reduction::SleepSet),
-                Some("parallel") => req.engine(Engine::Parallel {
-                    workers: backend
-                        .get("workers")
-                        .and_then(Json::as_usize)
-                        .ok_or("parallel backend needs integer \"workers\"")?,
-                }),
-                _ => {
-                    return Err(
-                        "\"backend\".\"kind\" must be \"sequential\", \"parallel\" or \"dpor\""
-                            .into(),
-                    );
-                }
-            }
-        };
-    }
     if let Some(engine) = v.get("engine") {
-        // Same two spellings as the report's "backend" block: a bare
-        // kind string or {"kind", "workers"}.
-        req = if let Some(kind) = engine.as_str() {
-            match kind {
-                "sequential" => req.engine(Engine::Sequential),
-                "parallel" => req.engine(Engine::Parallel { workers: 2 }),
-                _ => return Err("\"engine\" must be \"sequential\" or \"parallel\"".into()),
-            }
-        } else {
-            let fields = engine.as_obj().ok_or("\"engine\" must be an object")?;
-            for (key, _) in fields {
-                if key != "kind" && key != "workers" {
-                    return Err(format!("unknown \"engine\" key {key:?}"));
-                }
-            }
-            match engine.get("kind").and_then(Json::as_str) {
-                Some("sequential") => req.engine(Engine::Sequential),
-                Some("parallel") => req.engine(Engine::Parallel {
-                    workers: engine
-                        .get("workers")
-                        .and_then(Json::as_usize)
-                        .ok_or("parallel engine needs integer \"workers\"")?,
-                }),
-                _ => {
-                    return Err("\"engine\".\"kind\" must be \"sequential\" or \"parallel\"".into());
-                }
-            }
-        };
+        req = req.engine(engine_from_json(engine, "engine")?);
     }
     if let Some(reduction) = v.get("reduction") {
-        // A bare kind string or the report-schema {"kind", "contract"}
-        // object (the contract is derived; a stated one must agree).
-        let kind = if let Some(kind) = reduction.as_str() {
-            kind
-        } else {
-            let fields = reduction
-                .as_obj()
-                .ok_or("\"reduction\" must be an object")?;
-            for (key, _) in fields {
-                if key != "kind" && key != "contract" {
-                    return Err(format!("unknown \"reduction\" key {key:?}"));
-                }
-            }
-            reduction
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or("\"reduction\" needs a string \"kind\"")?
-        };
-        let parsed = match kind {
-            "none" => Reduction::None,
-            "sleep-set" => Reduction::SleepSet,
-            "source-set" => Reduction::SourceSet,
-            _ => {
-                return Err(
-                    "\"reduction\" must be \"none\", \"sleep-set\" or \"source-set\"".into(),
-                );
-            }
-        };
-        if let Some(stated) = reduction.get("contract") {
-            if stated.as_str() != Some(parsed.contract_str()) {
-                return Err(format!(
-                    "\"reduction\" contract disagrees with kind {kind:?} (its contract is {:?})",
-                    parsed.contract_str()
-                ));
-            }
-        }
-        req = req.reduction(parsed);
+        req = req.reduction(reduction_from_json(reduction)?);
     }
     if let Some(bounds) = v.get("bounds") {
         // Strictly validated like the top level: a typo'd or mis-typed
@@ -366,12 +252,10 @@ pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
         }
     }
     if let Some(store) = v.get("store") {
-        req = req.store(
-            store
-                .as_str()
-                .and_then(StoreKind::parse)
-                .ok_or("\"store\" must be \"flat\", \"sym\" or \"shared\"")?,
-        );
+        req = req.store(store.as_str().and_then(StoreKind::parse).ok_or_else(|| {
+            let spellings = StoreKind::ALL.map(|k| k.name());
+            format!("\"store\" must be {}", one_of(&spellings))
+        })?);
     }
     if let Some(sym) = v.get("symmetry") {
         req = req.symmetry(sym.as_bool().ok_or("\"symmetry\" must be a boolean")?);
@@ -387,6 +271,77 @@ pub fn request_from_json(v: &Json) -> Result<CheckRequest, String> {
         req = req.timeout(std::time::Duration::from_millis(ms as u64));
     }
     Ok(req)
+}
+
+/// `"a", "b" or "c"`: a spelling table, quoted for an error message.
+fn one_of(spellings: &[&str]) -> String {
+    let (last, rest) = spellings
+        .split_last()
+        .expect("spelling tables are non-empty");
+    let rest: Vec<String> = rest.iter().map(|s| format!("{s:?}")).collect();
+    format!("{} or {last:?}", rest.join(", "))
+}
+
+/// Reads an axis value in either of its two spellings: a bare kind
+/// string, or a `{"kind", …}` block whose only other key may be
+/// `extra`. Returns the kind and, for the block spelling, the block.
+fn kind_of<'a>(v: &'a Json, key: &str, extra: &str) -> Result<(&'a str, Option<&'a Json>), String> {
+    if let Some(kind) = v.as_str() {
+        return Ok((kind, None));
+    }
+    let fields = v
+        .as_obj()
+        .ok_or_else(|| format!("{key:?} must be an object"))?;
+    for (field, _) in fields {
+        if field != "kind" && field != extra {
+            return Err(format!("unknown {key:?} key {field:?}"));
+        }
+    }
+    let kind = v
+        .get("kind")
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("{key:?} needs a string \"kind\""))?;
+    Ok((kind, Some(v)))
+}
+
+/// An engine, spelled as a request's `"engine"` value or a report's
+/// `"backend"` block (`key` names which, for errors): `"parallel"`
+/// alone means two workers, the block spelling must state them.
+pub(crate) fn engine_from_json(v: &Json, key: &str) -> Result<Engine, String> {
+    let (kind, block) = kind_of(v, key, "workers")?;
+    match (Engine::parse(kind), block) {
+        (None, _) => {
+            let spellings = Engine::ALL.map(|e| e.kind_str());
+            Err(format!("{key:?} must be {}", one_of(&spellings)))
+        }
+        (Some(Engine::Parallel { .. }), Some(block)) => Ok(Engine::Parallel {
+            workers: block
+                .get("workers")
+                .and_then(Json::as_usize)
+                .ok_or_else(|| format!("parallel {key} needs integer \"workers\""))?,
+        }),
+        (Some(engine), _) => Ok(engine),
+    }
+}
+
+/// A reduction, spelled as a request's `"reduction"` value or a
+/// report's `"reduction"` block. The contract is derived from the
+/// kind; a stated one must agree.
+pub(crate) fn reduction_from_json(v: &Json) -> Result<Reduction, String> {
+    let (kind, block) = kind_of(v, "reduction", "contract")?;
+    let reduction = Reduction::parse(kind).ok_or_else(|| {
+        let spellings = Reduction::ALL.map(|r| r.kind_str());
+        format!("\"reduction\" must be {}", one_of(&spellings))
+    })?;
+    if let Some(stated) = block.and_then(|b| b.get("contract")) {
+        if stated.as_str() != Some(reduction.contract_str()) {
+            return Err(format!(
+                "\"reduction\" contract disagrees with kind {kind:?} (its contract is {:?})",
+                reduction.contract_str()
+            ));
+        }
+    }
+    Ok(reduction)
 }
 
 /// Recognises the `{"stats": true}` control object (optionally carrying
@@ -631,8 +586,6 @@ mod tests {
             format!(r#"{{{prog},"reduction":{{"kind":"source-set"}}}}"#),
             format!(r#"{{{prog},"reduction":{{"kind":"sleep-set","contract":"exhaustive"}}}}"#),
             format!(r#"{{{prog},"engine":"sequential","reduction":"sleep-set"}}"#),
-            // The legacy spelling still parses for one cycle.
-            format!(r#"{{{prog},"backend":"dpor"}}"#),
         ] {
             let v = Json::parse(&ok).unwrap();
             assert!(request_from_json(&v).is_ok(), "{ok}");
@@ -653,9 +606,15 @@ mod tests {
                 "disagrees",
             ),
             (
-                format!(r#"{{{prog},"backend":"dpor","reduction":"none"}}"#),
-                "legacy",
+                format!(r#"{{{prog},"engine":{{"kind":"parallel"}}}}"#),
+                "needs integer \"workers\"",
             ),
+            (
+                format!(r#"{{{prog},"model":"tso"}}"#),
+                "\"ra\", \"sc\" or \"pre-execution\"",
+            ),
+            // The retired single-axis spelling is an unknown key.
+            (format!(r#"{{{prog},"backend":"dpor"}}"#), "unknown key"),
         ] {
             let v = Json::parse(&bad).unwrap();
             let err = request_from_json(&v).unwrap_err();

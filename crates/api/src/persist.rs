@@ -25,9 +25,10 @@
 //! does not survive a process.
 
 use crate::json::Json;
+use crate::net::{engine_from_json, reduction_from_json};
 use crate::session::{CacheKey, Contract, ModeKey};
 use crate::{
-    Bounds, CheckReport, CountReport, Engine, LitmusVerdictReport, Meta, ModelChoice, OutcomeRow,
+    Bounds, CheckReport, CountReport, LitmusVerdictReport, Meta, ModelChoice, OutcomeRow,
     OutcomesReport, Reduction,
 };
 use c11_explore::{Stats, StoreKind, StoreStats};
@@ -229,43 +230,7 @@ fn key_from_json(v: &Json) -> Result<CacheKey, String> {
 }
 
 fn model_from_str(s: &str) -> Result<ModelChoice, String> {
-    match s {
-        "ra" => Ok(ModelChoice::Ra),
-        "sc" => Ok(ModelChoice::Sc),
-        "pre-execution" => Ok(ModelChoice::PreExecution),
-        other => Err(format!("unknown model {other:?}")),
-    }
-}
-
-fn engine_from_json(v: &Json) -> Result<Engine, String> {
-    match v.get("kind").and_then(Json::as_str) {
-        Some("sequential") => Ok(Engine::Sequential),
-        Some("parallel") => Ok(Engine::Parallel {
-            workers: v
-                .get("workers")
-                .and_then(Json::as_usize)
-                .ok_or("parallel backend needs integer \"workers\"")?,
-        }),
-        _ => Err("unknown backend kind".to_string()),
-    }
-}
-
-/// The report's optional `"reduction"` block; absent means none.
-fn reduction_from_json(v: Option<&Json>) -> Result<Reduction, String> {
-    let Some(v) = v else {
-        return Ok(Reduction::None);
-    };
-    let reduction = match v.get("kind").and_then(Json::as_str) {
-        Some("sleep-set") => Reduction::SleepSet,
-        Some("source-set") => Reduction::SourceSet,
-        _ => return Err("unknown reduction kind".to_string()),
-    };
-    // The contract is derived, but a snapshot asserting the wrong one
-    // is corrupt, not trusted.
-    match v.get("contract").and_then(Json::as_str) {
-        Some(c) if c == reduction.contract_str() => Ok(reduction),
-        _ => Err("reduction \"contract\" disagrees with its kind".to_string()),
-    }
+    ModelChoice::parse(s).ok_or_else(|| format!("unknown model {s:?}"))
 }
 
 fn stats_from_json(v: &Json) -> Result<Stats, String> {
@@ -414,8 +379,16 @@ fn report_from_json(v: &Json) -> Result<CheckReport, String> {
                 .ok_or_else(|| format!("report needs {name:?}"))?,
         )
     };
-    let engine = engine_from_json(v.get("backend").ok_or("report needs \"backend\"")?)?;
-    let reduction = reduction_from_json(v.get("reduction"))?;
+    // The readers accept the request spellings too; the round-trip
+    // check in `parse_line` refuses anything a report would not render.
+    let engine = engine_from_json(
+        v.get("backend").ok_or("report needs \"backend\"")?,
+        "backend",
+    )?;
+    let reduction = match v.get("reduction") {
+        None => Reduction::None,
+        Some(r) => reduction_from_json(r)?,
+    };
     match string_field(v, "mode")? {
         "count" => Ok(CheckReport::Count(CountReport {
             meta: Meta {

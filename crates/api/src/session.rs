@@ -315,10 +315,11 @@ type CacheSlot = Arc<CacheEntry>;
 struct CacheEntry {
     state: Mutex<SlotState>,
     cv: Condvar,
-    /// Mirrors `state == Ready` without taking the state mutex, so the
-    /// LRU sweep (run under the map lock) never locks a slot — pending
-    /// slots are skipped by this flag, keeping the lock order strictly
-    /// slot-then-map and pending slots un-evictable.
+    /// Set under the map lock once a complete (uninterrupted) report is
+    /// published and stamped, so the LRU sweep (run under the map lock)
+    /// never locks a slot — pending slots are skipped by this flag,
+    /// keeping the lock order strictly slot-then-map and pending slots
+    /// un-evictable.
     ready: AtomicBool,
     /// LRU clock stamp: bumped from the map's tick on publish and on
     /// every warm hit.
@@ -508,8 +509,12 @@ impl Inner {
         self.count_exploration(resolved.reduction);
         let interrupted = report.interrupt().is_some();
         *slot.state.lock().unwrap() = SlotState::Ready(Box::new(report.clone()));
-        slot.ready.store(true, Ordering::Release);
         slot.cv.notify_all();
+        // The `ready` flag is what the LRU sweep, `cache_len` and the
+        // snapshot see, so it flips under the map lock together with the
+        // stamp and the eviction: nobody observes a ready report with a
+        // zero stamp or the count past capacity. An interrupted report
+        // is never marked ready.
         let mut cache = self.cache.lock().unwrap();
         if interrupted {
             // Timed-out / cancelled reports answer their coalesced
@@ -523,6 +528,7 @@ impl Inner {
         } else {
             cache.tick += 1;
             slot.last_used.store(cache.tick, Ordering::Relaxed);
+            slot.ready.store(true, Ordering::Release);
             self.evict_over_capacity(&mut cache);
         }
         report

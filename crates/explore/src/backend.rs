@@ -168,12 +168,22 @@ pub enum Engine {
 }
 
 impl Engine {
+    /// Every engine kind, in CLI order (the parallel engine at its
+    /// default two workers).
+    pub const ALL: [Engine; 2] = [Engine::Sequential, Engine::Parallel { workers: 2 }];
+
     /// The canonical spelling (`"sequential"`, `"parallel"`).
     pub fn kind_str(&self) -> &'static str {
         match self {
             Engine::Sequential => "sequential",
             Engine::Parallel { .. } => "parallel",
         }
+    }
+
+    /// Parses a canonical spelling (the inverse of [`Engine::kind_str`];
+    /// `"parallel"` gets the default two workers).
+    pub fn parse(s: &str) -> Option<Engine> {
+        Engine::ALL.into_iter().find(|e| e.kind_str() == s)
     }
 }
 
@@ -200,6 +210,15 @@ pub enum Reduction {
 }
 
 impl Reduction {
+    /// Every reduction, in CLI order.
+    pub const ALL: [Reduction; 3] = [Reduction::None, Reduction::SleepSet, Reduction::SourceSet];
+
+    /// Parses a canonical spelling (the inverse of
+    /// [`Reduction::kind_str`]).
+    pub fn parse(s: &str) -> Option<Reduction> {
+        Reduction::ALL.into_iter().find(|r| r.kind_str() == s)
+    }
+
     /// The canonical spelling (`"none"`, `"sleep-set"`, `"source-set"`).
     pub fn kind_str(&self) -> &'static str {
         match self {
@@ -379,6 +398,18 @@ mod tests {
             ExploreBackend::<RaModel>::name(&AnyBackend::parallel(3)),
             "parallel(3)"
         );
+    }
+
+    #[test]
+    fn axis_spellings_round_trip() {
+        for e in Engine::ALL {
+            assert_eq!(Engine::parse(e.kind_str()), Some(e));
+        }
+        for r in Reduction::ALL {
+            assert_eq!(Reduction::parse(r.kind_str()), Some(r));
+        }
+        assert_eq!(Engine::parse("dpor"), None);
+        assert_eq!(Reduction::parse("dpor"), None);
     }
 
     #[test]

@@ -27,9 +27,8 @@ struct Opts {
     sc: bool,
     max_events: usize,
     workers: usize,
-    engine: Option<String>,
+    engine: Option<Engine>,
     reduction: Option<Reduction>,
-    backend: Option<String>,
     store: StoreKind,
     symmetry: bool,
     json: bool,
@@ -37,13 +36,6 @@ struct Opts {
     quiet: bool,
     litmus: bool,
 }
-
-/// Valid flag values, kept in one place so the error messages and the
-/// help text never drift apart. `BACKENDS` is the deprecated single-axis
-/// spelling, kept one cycle.
-const ENGINES: [&str; 2] = ["sequential", "parallel"];
-const REDUCTIONS: [&str; 3] = ["none", "sleep-set", "source-set"];
-const BACKENDS: [&str; 3] = ["sequential", "parallel", "dpor"];
 
 const USAGE: &str = "usage: c11check <program.c11 | - | dir> [--litmus] [--sc] \
      [--max-events N] [--engine E] [--reduction R] [--workers N] [--store S] \
@@ -64,8 +56,6 @@ const USAGE: &str = "usage: c11check <program.c11 | - | dir> [--litmus] [--sc] \
      trace; verdicts, outcomes and validity identical, unique/generated \
      intentionally smaller (the finals-only contract, surfaced in the \
      JSON report's \"reduction\" block)\n\
-     --backend B: deprecated spelling of the pair, kept one cycle \
-     (sequential | parallel | dpor = sequential + sleep-set)\n\
      --workers N: thread count for the parallel engine (shorthand: \
      --workers alone implies --engine parallel); in --litmus dir mode \
      N sizes the batch pool instead (jobs run N at a time)\n\
@@ -80,7 +70,7 @@ const USAGE: &str = "usage: c11check <program.c11 | - | dir> [--litmus] [--sc] \
      with any store (changes unique/generated counts, never verdicts)\n\
      --json: emit a machine-readable c11check/v1 report, e.g.\n\
          c11check program.c11 --json --workers 4\n\
-         c11check --litmus litmus/ --json --backend dpor";
+         c11check --litmus litmus/ --json --reduction sleep-set";
 
 /// How argument parsing can end without an `Opts`: a requested help page
 /// (exit 0) or a real usage error (exit 2).
@@ -98,7 +88,6 @@ fn parse_args() -> Result<Opts, ArgsEnd> {
         workers: 0,
         engine: None,
         reduction: None,
-        backend: None,
         store: StoreKind::Flat,
         symmetry: false,
         json: false,
@@ -132,49 +121,32 @@ fn parse_args() -> Result<Opts, ArgsEnd> {
                 let name = args
                     .next()
                     .ok_or_else(|| bad("--engine needs a value".into()))?;
-                if !ENGINES.contains(&name.as_str()) {
-                    return Err(bad(format!(
-                        "unknown --engine {name:?}: valid engines are {}",
-                        ENGINES.join(", ")
-                    )));
-                }
-                opts.engine = Some(name);
+                let valid = Engine::ALL.map(|e| e.kind_str()).join(", ");
+                opts.engine = Some(Engine::parse(&name).ok_or_else(|| {
+                    bad(format!(
+                        "unknown --engine {name:?}: valid engines are {valid}"
+                    ))
+                })?);
             }
             "--reduction" => {
                 let name = args
                     .next()
                     .ok_or_else(|| bad("--reduction needs a value".into()))?;
-                opts.reduction = Some(match name.as_str() {
-                    "none" => Reduction::None,
-                    "sleep-set" => Reduction::SleepSet,
-                    "source-set" => Reduction::SourceSet,
-                    _ => {
-                        return Err(bad(format!(
-                            "unknown --reduction {name:?}: valid reductions are {}",
-                            REDUCTIONS.join(", ")
-                        )));
-                    }
-                });
-            }
-            "--backend" => {
-                let name = args
-                    .next()
-                    .ok_or_else(|| bad("--backend needs a value".into()))?;
-                if !BACKENDS.contains(&name.as_str()) {
-                    return Err(bad(format!(
-                        "unknown --backend {name:?}: valid backends are {}",
-                        BACKENDS.join(", ")
-                    )));
-                }
-                opts.backend = Some(name);
+                let valid = Reduction::ALL.map(|r| r.kind_str()).join(", ");
+                opts.reduction = Some(Reduction::parse(&name).ok_or_else(|| {
+                    bad(format!(
+                        "unknown --reduction {name:?}: valid reductions are {valid}"
+                    ))
+                })?);
             }
             "--store" => {
                 let name = args
                     .next()
                     .ok_or_else(|| bad("--store needs a value".into()))?;
+                let valid = StoreKind::ALL.map(|k| k.name()).join(", ");
                 opts.store = StoreKind::parse(&name).ok_or_else(|| {
                     bad(format!(
-                        "unknown --store {name:?}: valid stores are flat, sym, shared"
+                        "unknown --store {name:?}: valid stores are {valid}"
                     ))
                 })?;
             }
@@ -189,36 +161,21 @@ fn parse_args() -> Result<Opts, ArgsEnd> {
             "no input file (use - for stdin); see --help".to_string()
         ));
     }
-    if opts.backend.is_some() && (opts.engine.is_some() || opts.reduction.is_some()) {
-        return Err(bad(
-            "--backend is the legacy spelling of --engine/--reduction; \
-             pass one or the other, not both"
-                .to_string(),
-        ));
-    }
     Ok(opts)
 }
 
-/// Resolve the flags to the engine × reduction pair, honouring the
-/// deprecated `--backend` spelling for one more cycle.
+/// Resolve the flags to the engine × reduction pair.
 fn selection_of(opts: &Opts) -> (Engine, Reduction) {
-    let workers = if opts.workers > 0 { opts.workers } else { 2 };
-    let engine = match (opts.engine.as_deref(), opts.backend.as_deref()) {
-        (Some("parallel"), _) | (None, Some("parallel")) => Engine::Parallel { workers },
-        (Some(_), _) | (None, Some(_)) => Engine::Sequential,
-        // Back-compat shorthand: a bare --workers N selects the parallel
-        // engine.
-        (None, None) if opts.workers > 0 => Engine::Parallel {
+    let engine = match opts.engine {
+        // `--workers N` sizes an explicit parallel engine, and alone is
+        // shorthand for it.
+        Some(Engine::Parallel { .. }) | None if opts.workers > 0 => Engine::Parallel {
             workers: opts.workers,
         },
-        (None, None) => Engine::Sequential,
+        Some(engine) => engine,
+        None => Engine::Sequential,
     };
-    let reduction = match (opts.reduction, opts.backend.as_deref()) {
-        (Some(r), _) => r,
-        (None, Some("dpor")) => Reduction::SleepSet,
-        (None, _) => Reduction::None,
-    };
-    (engine, reduction)
+    (engine, opts.reduction.unwrap_or_default())
 }
 
 fn main() -> ExitCode {
@@ -360,10 +317,10 @@ fn run_litmus_mode(opts: &Opts) -> ExitCode {
     // Dir mode defaults to the sequential engine per job even when
     // --workers sizes the pool (pool × per-job engine workers would
     // oversubscribe the machine for tiny tests) — but an *explicit*
-    // --engine (or legacy --backend) choice is always honoured, and a
-    // --reduction applies per job either way.
+    // --engine choice is always honoured, and a --reduction applies per
+    // job either way.
     let (mut engine, reduction) = selection_of(opts);
-    if path.is_dir() && opts.engine.is_none() && opts.backend.is_none() {
+    if path.is_dir() && opts.engine.is_none() {
         engine = Engine::Sequential;
     }
     let names: Vec<String> = tests.iter().map(|t| t.name.clone()).collect();

@@ -20,9 +20,11 @@
 //! request frame gets a report / `"error"` / `"overloaded"` frame, and
 //! a `{"stats": true}` frame gets the live session counters (with
 //! per-reduction exploration counts). Request documents carry the full
-//! `c11serve` schema, including the `engine` × `reduction` pair (plus
-//! the deprecated `backend` spelling) and the `store`
-//! (`"flat"`/`"sym"`/`"shared"`) and `symmetry` storage knobs. A frame
+//! `c11serve` schema, including the `engine` × `reduction` pair and the
+//! `store` (`"flat"`/`"sym"`/`"shared"`) and `symmetry` storage knobs.
+//! The request pipeline, the session flags and the tally live in
+//! `c11_api::service`, shared with `c11serve`; this binary is the accept
+//! loop and the per-connection frame loop. A frame
 //! that violates the protocol (oversized length, mid-frame truncation
 //! or stall) is answered once (best effort) and the connection closed —
 //! the stream cannot be resynchronised.
@@ -33,33 +35,12 @@
 //! Per-frame client errors do not fail the exit code — a network
 //! service outlives its worst client; startup failures exit 2.
 
-use c11_operational::api::json::Json;
-use c11_operational::api::net::{
-    self, error_line, overloaded_line, report_line, shutdown, stats_line, FrameIn,
-};
-use c11_operational::api::{CheckError, Session, SessionConfig};
-use c11_operational::prelude::*;
-use std::io::Write as _;
+use c11_operational::api::net::{self, overloaded_line, shutdown, FrameIn};
+use c11_operational::api::service::{self, Service, Ticket, SESSION_USAGE};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-const USAGE: &str = "usage: c11netd [--listen ADDR] [--port-file FILE] [--max-conns N] \
-     [--read-timeout-ms MS] [--write-timeout-ms MS] [--cache-path FILE] \
-     [--workers N] [--no-cache] [--auto-parallel T] [--job-timeout-ms MS] \
-     [--cache-capacity N] [--max-queue N]\n\
-     serves c11check/v1 requests over length-prefixed TCP frames\n\
-     --listen ADDR: bind address (default 127.0.0.1:7411; port 0 picks one)\n\
-     --port-file FILE: write the bound port to FILE once listening\n\
-     --max-conns N: concurrent connection cap (default 64)\n\
-     --read-timeout-ms MS: per-connection socket read timeout (default 1000)\n\
-     --write-timeout-ms MS: per-connection socket write timeout (default 5000)\n\
-     --cache-path FILE: load the result cache from FILE on start and \
-     snapshot it back on drain\n\
-     --workers / --no-cache / --auto-parallel / --job-timeout-ms / \
-     --cache-capacity / --max-queue: as for c11serve";
 
 struct Opts {
     listen: String,
@@ -67,234 +48,95 @@ struct Opts {
     max_conns: usize,
     read_timeout: Duration,
     write_timeout: Duration,
-    cache_path: Option<String>,
-    workers: usize,
-    cache: bool,
-    auto_parallel: usize,
-    job_timeout_ms: Option<usize>,
-    cache_capacity: Option<usize>,
-    max_queue: Option<usize>,
 }
 
-fn parse_args() -> Result<Opts, String> {
+fn parse_args() -> Result<(Opts, c11_operational::api::SessionConfig), String> {
+    let usage = format!(
+        "usage: c11netd [--listen ADDR] [--port-file FILE] [--max-conns N] \
+         [--read-timeout-ms MS] [--write-timeout-ms MS] {SESSION_USAGE}\n\
+         serves c11check/v1 requests over length-prefixed TCP frames\n\
+         --listen ADDR: bind address (default 127.0.0.1:7411; port 0 picks one)\n\
+         --port-file FILE: write the bound port to FILE once listening\n\
+         --max-conns N: concurrent connection cap (default 64)\n\
+         --read-timeout-ms MS: per-connection socket read timeout (default 1000)\n\
+         --write-timeout-ms MS: per-connection socket write timeout (default 5000)"
+    );
     let mut opts = Opts {
         listen: "127.0.0.1:7411".to_string(),
         port_file: None,
         max_conns: 64,
         read_timeout: Duration::from_millis(1000),
         write_timeout: Duration::from_millis(5000),
-        cache_path: None,
-        workers: 2,
-        cache: true,
-        auto_parallel: 4,
-        job_timeout_ms: None,
-        cache_capacity: None,
-        max_queue: None,
     };
-    let mut args = std::env::args().skip(1);
-    let text = |args: &mut std::iter::Skip<std::env::Args>, flag: &str| {
-        args.next().ok_or(format!("{flag} needs a value"))
-    };
-    let num = |args: &mut std::iter::Skip<std::env::Args>, flag: &str| {
-        text(args, flag)?
-            .parse::<usize>()
-            .map_err(|e| format!("bad {flag}: {e}"))
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--listen" => opts.listen = text(&mut args, "--listen")?,
-            "--port-file" => opts.port_file = Some(text(&mut args, "--port-file")?),
-            "--max-conns" => opts.max_conns = num(&mut args, "--max-conns")?.max(1),
-            "--read-timeout-ms" => {
-                opts.read_timeout =
-                    Duration::from_millis(num(&mut args, "--read-timeout-ms")?.max(1) as u64);
-            }
-            "--write-timeout-ms" => {
-                opts.write_timeout =
-                    Duration::from_millis(num(&mut args, "--write-timeout-ms")?.max(1) as u64);
-            }
-            "--cache-path" => opts.cache_path = Some(text(&mut args, "--cache-path")?),
-            "--workers" => opts.workers = num(&mut args, "--workers")?,
-            "--no-cache" => opts.cache = false,
-            "--auto-parallel" => opts.auto_parallel = num(&mut args, "--auto-parallel")?,
-            "--job-timeout-ms" => opts.job_timeout_ms = Some(num(&mut args, "--job-timeout-ms")?),
-            "--cache-capacity" => opts.cache_capacity = Some(num(&mut args, "--cache-capacity")?),
-            "--max-queue" => opts.max_queue = Some(num(&mut args, "--max-queue")?),
-            "-h" | "--help" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other:?}")),
+    let ms = |n: usize| Duration::from_millis(n.max(1) as u64);
+    let cfg = service::parse_flags(std::env::args().skip(1), &usage, |flag, args| {
+        match flag {
+            "--listen" => opts.listen = args.value(flag)?,
+            "--port-file" => opts.port_file = Some(args.value(flag)?),
+            "--max-conns" => opts.max_conns = args.num(flag)?.max(1),
+            "--read-timeout-ms" => opts.read_timeout = ms(args.num(flag)?),
+            "--write-timeout-ms" => opts.write_timeout = ms(args.num(flag)?),
+            _ => return Ok(false),
         }
-    }
-    Ok(opts)
-}
-
-/// The per-frame aggregates every connection folds into, summarised on
-/// drain exactly like `c11serve`'s batch line.
-#[derive(Default)]
-struct Tally {
-    stats: BatchStats,
+        Ok(true)
+    })?;
+    Ok((opts, cfg))
 }
 
 /// Serves one connection: frames in, responses out, until EOF, a
 /// protocol error, or drain. Returns when the connection is done.
-fn serve_conn(
-    mut conn: TcpStream,
-    conn_no: usize,
-    session: &Session,
-    tally: &Mutex<Tally>,
-    opts: &Opts,
-) {
+fn serve_conn(mut conn: TcpStream, conn_no: usize, service: &Service, opts: &Opts) {
     let _ = conn.set_read_timeout(Some(opts.read_timeout));
     let _ = conn.set_write_timeout(Some(opts.write_timeout));
     let mut frame_no = 0usize;
-    loop {
-        if shutdown::requested() {
-            return;
-        }
-        match net::read_frame(&mut conn) {
+    while !shutdown::requested() {
+        let ticket = match net::read_frame(&mut conn) {
             Ok(FrameIn::Eof) => return,
             // Idle at a frame boundary: poll the drain flag, keep going.
             Ok(FrameIn::Idle) => continue,
             Err(e) => {
                 // Protocol violation or I/O failure: one best-effort
                 // error frame, then close (the stream can't resync).
-                tally.lock().unwrap().stats.jobs += 1;
-                tally.lock().unwrap().stats.errors += 1;
-                let line = error_line(&format!("conn-{conn_no}-{}", frame_no + 1), &e);
+                let id = format!("conn-{conn_no}-{}", frame_no + 1);
+                let line = service.answer(Ticket::malformed(id, e));
                 let _ = net::write_frame(&mut conn, line.as_bytes());
                 return;
             }
             Ok(FrameIn::Frame(payload)) => {
                 frame_no += 1;
-                let response = respond(&payload, conn_no, frame_no, session, tally);
-                if net::write_frame(&mut conn, response.as_bytes()).is_err() {
-                    return; // peer gone or stalled past the write timeout
+                let id = || format!("conn-{conn_no}-{frame_no}");
+                match std::str::from_utf8(&payload) {
+                    Ok(text) => service.accept(text, id),
+                    Err(e) => Ticket::malformed(id(), format!("frame is not valid UTF-8: {e}")),
                 }
             }
-        }
-    }
-}
-
-/// Answers one frame payload with one response document.
-fn respond(
-    payload: &[u8],
-    conn_no: usize,
-    frame_no: usize,
-    session: &Session,
-    tally: &Mutex<Tally>,
-) -> String {
-    let fallback_id = || format!("conn-{conn_no}-{frame_no}");
-    let parsed = std::str::from_utf8(payload)
-        .map_err(|e| format!("frame is not valid UTF-8: {e}"))
-        .and_then(|text| Json::parse(text).map_err(|e| e.to_string()));
-    let v = match parsed {
-        Ok(v) => v,
-        Err(msg) => {
-            let mut t = tally.lock().unwrap();
-            t.stats.jobs += 1;
-            t.stats.errors += 1;
-            return error_line(&fallback_id(), &msg);
-        }
-    };
-    let id = v
-        .get("id")
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .unwrap_or_else(fallback_id);
-    // Stats frames are observations, not jobs: no tally.
-    match net::stats_request(&v) {
-        Some(Ok(())) => return stats_line(&id, &session.stats()),
-        Some(Err(msg)) => {
-            let mut t = tally.lock().unwrap();
-            t.stats.jobs += 1;
-            t.stats.errors += 1;
-            return error_line(&id, &msg);
-        }
-        None => {}
-    }
-    let submitted = net::request_from_json(&v).and_then(|req| {
-        session.submit(req).map_err(|e| match e {
-            CheckError::Overloaded => String::new(), // sentinel, handled below
-            other => other.to_string(),
-        })
-    });
-    let mut t = tally.lock().unwrap();
-    t.stats.jobs += 1;
-    match submitted {
-        Err(msg) if msg.is_empty() => {
-            t.stats.overloaded += 1;
-            overloaded_line(&id)
-        }
-        Err(msg) => {
-            t.stats.errors += 1;
-            error_line(&id, &msg)
-        }
-        Ok(job) => {
-            // Block this connection's thread on the result while other
-            // connections keep submitting — the pool under the session
-            // is the concurrency limit, not this wait.
-            drop(t);
-            let waited = session.wait(job);
-            let mut t = tally.lock().unwrap();
-            match waited {
-                Ok(report) => {
-                    t.stats.ok += 1;
-                    t.stats.cache_hits += usize::from(report.cache_hit());
-                    t.stats.interrupted += usize::from(report.interrupt().is_some());
-                    t.stats.explore = t.stats.explore.merged(&report.stats());
-                    if let CheckReport::Litmus(l) = &report {
-                        if !l.pass && report.interrupt().is_none() {
-                            t.stats.litmus_failed += 1;
-                        }
-                    }
-                    report_line(&id, &report)
-                }
-                Err(CheckError::Cancelled) => {
-                    t.stats.interrupted += 1;
-                    error_line(&id, "cancelled")
-                }
-                Err(e) => {
-                    t.stats.errors += 1;
-                    error_line(&id, &e.to_string())
-                }
-            }
+        };
+        // Block this connection's thread on the result while other
+        // connections keep submitting — the pool under the session is
+        // the concurrency limit, not this wait.
+        let response = service.answer(ticket);
+        if net::write_frame(&mut conn, response.as_bytes()).is_err() {
+            return; // peer gone or stalled past the write timeout
         }
     }
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
+    let (opts, cfg) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
         }
     };
     shutdown::install();
-    let mut cfg = SessionConfig::default()
-        .workers(opts.workers)
-        .cache(opts.cache)
-        .parallel_threshold(opts.auto_parallel);
-    if let Some(ms) = opts.job_timeout_ms {
-        cfg = cfg.job_timeout(Duration::from_millis(ms as u64));
-    }
-    if let Some(n) = opts.cache_capacity {
-        cfg = cfg.cache_capacity(n);
-    }
-    if let Some(n) = opts.max_queue {
-        cfg = cfg.max_queue_depth(n);
-    }
-    if let Some(path) = &opts.cache_path {
-        cfg = cfg.cache_path(path);
-    }
-    let session = Arc::new(Session::new(cfg));
-    {
-        let s = session.stats();
-        if s.persist_loaded > 0 || s.persist_skipped > 0 {
-            eprintln!(
-                "cache snapshot: {} entries loaded, {} lines skipped",
-                s.persist_loaded, s.persist_skipped
-            );
-        }
+    let service = Service::new(cfg);
+    let s = service.session().stats();
+    if s.persist_loaded > 0 || s.persist_skipped > 0 {
+        eprintln!(
+            "cache snapshot: {} entries loaded, {} lines skipped",
+            s.persist_loaded, s.persist_skipped
+        );
     }
 
     let listener = match TcpListener::bind(&opts.listen) {
@@ -324,83 +166,54 @@ fn main() -> ExitCode {
     }
     eprintln!("c11netd listening on {local}");
 
-    let opts = Arc::new(opts);
-    let tally = Arc::new(Mutex::new(Tally::default()));
-    let active = Arc::new(AtomicUsize::new(0));
-    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let active = AtomicUsize::new(0);
     let mut conn_no = 0usize;
-    let t0 = std::time::Instant::now();
-
-    while !shutdown::requested() {
-        // Reap finished connection threads so `handles` stays bounded by
-        // the connection cap, not the connection count.
-        handles.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                eprintln!("accept failed: {e}");
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Ok((mut conn, _peer)) => {
-                conn_no += 1;
-                if active.load(Ordering::Acquire) >= opts.max_conns {
-                    // Answer with backpressure instead of silently
-                    // dropping: the client learns to retry later.
-                    let _ = conn.set_write_timeout(Some(opts.write_timeout));
-                    let line = overloaded_line(&format!("conn-{conn_no}"));
-                    let _ = net::write_frame(&mut conn, line.as_bytes());
-                    continue;
+    // Connection threads are scoped: leaving the scope is the drain,
+    // joining every connection after its in-flight frame (their loops
+    // observe the flag at the next frame boundary).
+    std::thread::scope(|scope| {
+        while !shutdown::requested() {
+            match listener.accept() {
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(25));
                 }
-                active.fetch_add(1, Ordering::AcqRel);
-                let session = session.clone();
-                let tally = tally.clone();
-                let opts = opts.clone();
-                let active = active.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("c11netd-conn-{conn_no}"))
-                    .spawn(move || {
-                        serve_conn(conn, conn_no, &session, &tally, &opts);
-                        active.fetch_sub(1, Ordering::AcqRel);
-                    })
-                    .expect("spawn connection thread");
-                handles.push(handle);
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    eprintln!("accept failed: {e}");
+                    std::thread::sleep(Duration::from_millis(25));
+                }
+                Ok((mut conn, _peer)) => {
+                    conn_no += 1;
+                    if active.load(Ordering::Acquire) >= opts.max_conns {
+                        // Answer with backpressure instead of silently
+                        // dropping: the client learns to retry later.
+                        let _ = conn.set_write_timeout(Some(opts.write_timeout));
+                        let line = overloaded_line(&format!("conn-{conn_no}"));
+                        let _ = net::write_frame(&mut conn, line.as_bytes());
+                        continue;
+                    }
+                    active.fetch_add(1, Ordering::AcqRel);
+                    let (service, opts, active) = (&service, &opts, &active);
+                    std::thread::Builder::new()
+                        .name(format!("c11netd-conn-{conn_no}"))
+                        .spawn_scoped(scope, move || {
+                            serve_conn(conn, conn_no, service, opts);
+                            active.fetch_sub(1, Ordering::AcqRel);
+                        })
+                        .expect("spawn connection thread");
+                }
             }
         }
-    }
-
-    // Drain: stop accepting, let every connection finish its in-flight
-    // frame (their loops observe the flag at the next frame boundary).
-    drop(listener);
-    for handle in handles {
-        let _ = handle.join();
-    }
-    match session.flush_cache() {
+        // Stop accepting before the drain.
+        drop(listener);
+    });
+    match service.session().flush_cache() {
         Ok(n) if n > 0 => eprintln!("cache snapshot: {n} entries written"),
         Ok(_) => {}
         Err(e) => eprintln!("cache snapshot failed: {e}"),
     }
-
-    let mut stats = std::mem::take(&mut tally.lock().unwrap().stats);
-    stats.wall_micros = t0.elapsed().as_micros();
-    let batch = BatchReport {
-        reports: Vec::new(),
-        stats,
-    };
-    let Json::Obj(mut pairs) = batch.summary_json() else {
-        unreachable!("summaries are objects");
-    };
-    pairs.push((
-        "explorations".to_string(),
-        Json::from(session.stats().explorations),
-    ));
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let _ = writeln!(out, "{}", Json::Obj(pairs).render());
-    let _ = out.flush();
     // A clean drain is success: per-frame client errors were already
     // answered to the clients that caused them.
+    println!("{}", service.summary().0);
     ExitCode::SUCCESS
 }

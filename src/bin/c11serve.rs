@@ -3,7 +3,9 @@
 //! final `batch-summary` line. Built on the [`Session`] API: requests
 //! are scheduled concurrently over a worker pool and answered from the
 //! fingerprint-keyed result cache when possible, while responses stream
-//! out in request order.
+//! out in request order. The request pipeline, the session flags and the
+//! tally live in `c11_api::service`, shared with `c11netd`; this binary
+//! is the capped line reader and the ordered writer.
 //!
 //! ```sh
 //! c11serve [--workers N] [--no-cache] [--auto-parallel T]
@@ -33,7 +35,6 @@
 //! | `mode`         | `"outcomes"` (default) / `"count"` / `"litmus"` (litmus inputs' default) |
 //! | `engine`       | `"sequential"` (default) / `"parallel"`, or `{"kind":"parallel","workers":N}` |
 //! | `reduction`    | `"none"` (default) / `"sleep-set"` / `"source-set"`, or `{"kind":…,"contract":…}` |
-//! | `backend`      | deprecated single-axis spelling of the pair (`"dpor"` = sequential + sleep-set); rejected alongside `engine`/`reduction` |
 //! | `bounds`       | `{"max_events":N,"max_states":N,"max_depth":N}` (each optional) |
 //! | `store`        | `"flat"` (default) / `"sym"` / `"shared"` — visited-state store |
 //! | `symmetry`     | bool — quotient visited states by thread-permutation symmetry |
@@ -61,94 +62,15 @@
 //! every litmus verdict passed; overload rejections and deadline hits
 //! are service conditions, not genuine errors, and do not fail it.
 
-use c11_operational::api::json::Json;
-use c11_operational::api::net::{
-    self, error_line, overloaded_line, report_line, shutdown, stats_line,
-};
-use c11_operational::api::{CheckError, Session, SessionConfig};
-use c11_operational::prelude::*;
+use c11_operational::api::net::shutdown;
+use c11_operational::api::service::{self, Service, Ticket, SESSION_USAGE};
 use std::io::{BufRead, Write as _};
 use std::process::ExitCode;
 use std::sync::mpsc;
 
-const USAGE: &str = "usage: c11serve [--workers N] [--no-cache] [--auto-parallel T] \
-     [--job-timeout-ms MS] [--cache-capacity N] [--max-queue N] [--cache-path FILE]\n\
-     reads c11check/v1 request JSON lines on stdin, writes one report \
-     JSON line per request and a final batch-summary line on stdout\n\
-     --workers N: session pool size (default 2)\n\
-     --no-cache: disable the fingerprint-keyed result cache\n\
-     --auto-parallel T: run reduction-free sequential requests whose \
-     program has ≥ T threads on the parallel engine (default 4; 0 \
-     disables; reduced requests are never upgraded)\n\
-     --job-timeout-ms MS: default per-job deadline (a request's own \
-     timeout_ms wins when tighter)\n\
-     --cache-capacity N: bound the result cache to N reports (LRU)\n\
-     --max-queue N: reject submissions beyond N queued jobs with \
-     status \"overloaded\"\n\
-     --cache-path FILE: load the result cache from FILE on start and \
-     snapshot it back on drain";
-
 /// Longest accepted request line; longer lines are dropped with a
 /// positioned error instead of buffering unboundedly.
 const MAX_LINE_BYTES: usize = 1 << 20;
-
-struct Opts {
-    workers: usize,
-    cache: bool,
-    auto_parallel: usize,
-    job_timeout_ms: Option<usize>,
-    cache_capacity: Option<usize>,
-    max_queue: Option<usize>,
-    cache_path: Option<String>,
-}
-
-fn parse_args() -> Result<Opts, String> {
-    let mut opts = Opts {
-        workers: 2,
-        cache: true,
-        auto_parallel: 4,
-        job_timeout_ms: None,
-        cache_capacity: None,
-        max_queue: None,
-        cache_path: None,
-    };
-    let mut args = std::env::args().skip(1);
-    let num = |args: &mut std::iter::Skip<std::env::Args>, flag: &str| {
-        args.next()
-            .ok_or(format!("{flag} needs a value"))?
-            .parse()
-            .map_err(|e| format!("bad {flag}: {e}"))
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--no-cache" => opts.cache = false,
-            "--workers" => opts.workers = num(&mut args, "--workers")?,
-            "--auto-parallel" => opts.auto_parallel = num(&mut args, "--auto-parallel")?,
-            "--job-timeout-ms" => opts.job_timeout_ms = Some(num(&mut args, "--job-timeout-ms")?),
-            "--cache-capacity" => opts.cache_capacity = Some(num(&mut args, "--cache-capacity")?),
-            "--max-queue" => opts.max_queue = Some(num(&mut args, "--max-queue")?),
-            "--cache-path" => {
-                opts.cache_path = Some(args.next().ok_or("--cache-path needs a value")?);
-            }
-            "-h" | "--help" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(opts)
-}
-
-/// One unit flowing from the reader to the writer: a submitted job, a
-/// backpressure rejection, a line-level error, or a stats-control
-/// answer, with the id to echo. The request parsing and response
-/// rendering themselves live in `c11_api::net`, shared with `c11netd`.
-enum Item {
-    Job(String, c11_operational::api::JobId),
-    Overloaded(String),
-    LineError(String, String),
-    /// A `{"stats": true}` control line: answered in stream order with
-    /// the then-current counters, not counted as a job.
-    Stats(String),
-}
 
 /// One raw request line, read with a hard byte cap.
 enum Line {
@@ -214,8 +136,13 @@ fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> Line {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
+    let usage = format!(
+        "usage: c11serve {SESSION_USAGE}\n\
+         reads c11check/v1 request JSON lines on stdin, writes one report \
+         JSON line per request and a final batch-summary line on stdout"
+    );
+    let cfg = match service::parse_flags(std::env::args().skip(1), &usage, |_, _| Ok(false)) {
+        Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
@@ -224,172 +151,60 @@ fn main() -> ExitCode {
     // SIGTERM and SIGINT both request the same graceful drain: stop
     // reading, finish in-flight jobs, snapshot the cache, summarise.
     shutdown::install();
-    let mut cfg = SessionConfig::default()
-        .workers(opts.workers)
-        .cache(opts.cache)
-        .parallel_threshold(opts.auto_parallel);
-    if let Some(ms) = opts.job_timeout_ms {
-        cfg = cfg.job_timeout(std::time::Duration::from_millis(ms as u64));
-    }
-    if let Some(n) = opts.cache_capacity {
-        cfg = cfg.cache_capacity(n);
-    }
-    if let Some(n) = opts.max_queue {
-        cfg = cfg.max_queue_depth(n);
-    }
-    if let Some(path) = &opts.cache_path {
-        cfg = cfg.cache_path(path);
-    }
-    let session = std::sync::Arc::new(Session::new(cfg));
-    let (tx, rx) = mpsc::channel::<Item>();
-
-    let t0 = std::time::Instant::now();
-
-    // Writer thread: redeems jobs in request order and streams one line
-    // per request; accumulates the batch aggregates (the reports
-    // themselves are not kept — this is a stream, not a buffer).
-    let writer = {
-        let session = session.clone();
-        std::thread::spawn(move || {
+    let service = Service::new(cfg);
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<Ticket>();
+        // Writer: answers tickets in request order, one line each,
+        // flushed per request — this is a stream, not a buffer.
+        let service = &service;
+        scope.spawn(move || {
             let stdout = std::io::stdout();
-            let mut stats = BatchStats::default();
-            for item in rx {
-                // Stats-control answers ride the same ordered stream but
-                // are observations, not jobs — the batch counters skip
-                // them entirely.
-                if let Item::Stats(id) = &item {
-                    let line = stats_line(id, &session.stats());
-                    let mut out = stdout.lock();
-                    let _ = writeln!(out, "{line}");
-                    let _ = out.flush();
-                    continue;
-                }
-                stats.jobs += 1;
-                let line = match item {
-                    Item::Stats(_) => unreachable!("handled above"),
-                    Item::LineError(id, msg) => {
-                        stats.errors += 1;
-                        error_line(&id, &msg)
-                    }
-                    Item::Overloaded(id) => {
-                        stats.overloaded += 1;
-                        overloaded_line(&id)
-                    }
-                    Item::Job(id, job) => match session.wait(job) {
-                        Ok(report) => {
-                            stats.ok += 1;
-                            stats.cache_hits += usize::from(report.cache_hit());
-                            stats.interrupted += usize::from(report.interrupt().is_some());
-                            stats.explore = stats.explore.merged(&report.stats());
-                            if let CheckReport::Litmus(l) = &report {
-                                // A deadline-hit verdict never finished;
-                                // don't count it as a litmus failure.
-                                if !l.pass && report.interrupt().is_none() {
-                                    stats.litmus_failed += 1;
-                                }
-                            }
-                            report_line(&id, &report)
-                        }
-                        Err(CheckError::Cancelled) => {
-                            stats.interrupted += 1;
-                            error_line(&id, "cancelled")
-                        }
-                        Err(e) => {
-                            stats.errors += 1;
-                            error_line(&id, &e.to_string())
-                        }
-                    },
-                };
+            for ticket in rx {
+                let line = service.answer(ticket);
                 let mut out = stdout.lock();
                 let _ = writeln!(out, "{line}");
-                let _ = out.flush(); // stream per request — this is a service
+                let _ = out.flush();
             }
-            stats
-        })
-    };
-
-    // Reader (main thread): parse lines, submit jobs as they arrive.
-    // Stops at EOF, on an unrecoverable read error, or when SIGTERM /
-    // SIGINT asks for a graceful drain.
-    let stdin = std::io::stdin();
-    let mut reader = stdin.lock();
-    let mut n = 0usize;
-    loop {
-        if shutdown::requested() {
-            break;
+        });
+        // Reader: submits each line as it arrives, until EOF, an
+        // unrecoverable read error, or a drain signal.
+        let stdin = std::io::stdin();
+        let mut reader = stdin.lock();
+        let mut n = 0usize;
+        while !shutdown::requested() {
+            n += 1;
+            let id = || format!("line-{n}");
+            let ticket = match read_line_capped(&mut reader, MAX_LINE_BYTES) {
+                Line::Eof => break,
+                Line::Io(e) => {
+                    let _ = tx.send(Ticket::malformed(id(), format!("stdin read error: {e}")));
+                    break;
+                }
+                Line::TooLong(len) => Ticket::malformed(
+                    id(),
+                    format!(
+                        "line {n} exceeds the {MAX_LINE_BYTES}-byte cap ({len} bytes); dropped"
+                    ),
+                ),
+                Line::BadUtf8(at) => Ticket::malformed(
+                    id(),
+                    format!("line {n} is not valid UTF-8 (first invalid byte at offset {at})"),
+                ),
+                Line::Text(line) if line.trim().is_empty() => continue,
+                Line::Text(line) => service.accept(&line, id),
+            };
+            let _ = tx.send(ticket);
         }
-        n += 1;
-        let item = match read_line_capped(&mut reader, MAX_LINE_BYTES) {
-            Line::Eof => break,
-            Line::Io(e) => {
-                let _ = tx.send(Item::LineError(
-                    format!("line-{n}"),
-                    format!("stdin read error: {e}"),
-                ));
-                break;
-            }
-            Line::TooLong(len) => Item::LineError(
-                format!("line-{n}"),
-                format!("line {n} exceeds the {MAX_LINE_BYTES}-byte cap ({len} bytes); dropped"),
-            ),
-            Line::BadUtf8(at) => Item::LineError(
-                format!("line-{n}"),
-                format!("line {n} is not valid UTF-8 (first invalid byte at offset {at})"),
-            ),
-            Line::Text(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match Json::parse(&line) {
-                    Err(e) => Item::LineError(format!("line-{n}"), e.to_string()),
-                    Ok(v) => {
-                        let id = v
-                            .get("id")
-                            .and_then(Json::as_str)
-                            .map(str::to_string)
-                            .unwrap_or_else(|| format!("line-{n}"));
-                        match net::stats_request(&v) {
-                            Some(Ok(())) => Item::Stats(id),
-                            Some(Err(msg)) => Item::LineError(id, msg),
-                            None => match net::request_from_json(&v) {
-                                Ok(req) => match session.submit(req) {
-                                    Ok(job) => Item::Job(id, job),
-                                    Err(CheckError::Overloaded) => Item::Overloaded(id),
-                                    Err(e) => Item::LineError(id, e.to_string()),
-                                },
-                                Err(msg) => Item::LineError(id, msg),
-                            },
-                        }
-                    }
-                }
-            }
-        };
-        let _ = tx.send(item);
-    }
-    drop(tx); // EOF/SIGTERM/SIGINT: let the writer drain in-flight jobs
-    let mut stats = writer.join().expect("writer thread");
-    stats.wall_micros = t0.elapsed().as_micros();
+        // Dropping `tx` lets the writer drain every in-flight job.
+    });
     // Snapshot the warm cache now that the pool is quiet (the session's
     // drop would too, but failing loudly beats failing silently).
-    if let Err(e) = session.flush_cache() {
+    if let Err(e) = service.session().flush_cache() {
         eprintln!("cache snapshot failed: {e}");
     }
-
-    // Final batch-summary line: the canonical `BatchReport::summary_json`
-    // document, extended with the session-level `explorations` counter.
-    let batch = BatchReport {
-        reports: Vec::new(),
-        stats,
-    };
-    let Json::Obj(mut pairs) = batch.summary_json() else {
-        unreachable!("summaries are objects");
-    };
-    pairs.push((
-        "explorations".to_string(),
-        Json::from(session.stats().explorations),
-    ));
-    println!("{}", Json::Obj(pairs).render());
-    if batch.all_ok() {
+    let (summary, all_ok) = service.summary();
+    println!("{summary}");
+    if all_ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -85,9 +85,9 @@ pub use c11_verify as verify;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use c11_api::{
-        Backend, BatchReport, BatchRequest, BatchStats, Bounds, CheckError, CheckReport,
-        CheckRequest, ConfigView, Engine, Invariant, JobId, Meta, Mode, ModelChoice, OutcomeRow,
-        ProgramInput, Reduction, Session, SessionConfig, SessionStats,
+        BatchReport, BatchRequest, BatchStats, Bounds, CheckError, CheckReport, CheckRequest,
+        ConfigView, Engine, Invariant, JobId, Meta, Mode, ModelChoice, OutcomeRow, ProgramInput,
+        Reduction, Session, SessionConfig, SessionStats,
     };
     pub use c11_axiomatic::axioms::{check_validity, is_valid, Axiom, Violation};
     pub use c11_core::event::{Event, EventId};

@@ -47,7 +47,7 @@ fn clean_stream_round_trips_in_order_with_cache_hits() {
             "{{\"id\":\"sb-again\",\"program\":\"{sb}\",\"traces\":true}}\n",
             "{{\"id\":\"mp\",\"litmus_path\":\"litmus/mp_ra.litmus\"}}\n",
             "{{\"id\":\"count\",\"program\":\"vars x; thread t {{ x := 1; }}\",",
-            "\"mode\":\"count\",\"backend\":{{\"kind\":\"parallel\",\"workers\":2}}}}\n",
+            "\"mode\":\"count\",\"engine\":{{\"kind\":\"parallel\",\"workers\":2}}}}\n",
         ),
         sb = SB
     );
@@ -187,8 +187,8 @@ fn litmus_corpus_streams_through_the_service() {
     );
 }
 
-/// The sleep-set reduction over the request-line surface, the new
-/// `"reduction"` key and the legacy `"backend":"dpor"` shim alike: first
+/// The sleep-set reduction over the request-line surface, as a string
+/// and as a `{"kind"}` block alike: first
 /// submission computes, resubmission in the same stream is a cache hit
 /// (an exhaustive-contract reduction does not split the cache key), and
 /// unknown names are rejected.
@@ -196,16 +196,16 @@ fn litmus_corpus_streams_through_the_service() {
 fn dpor_backend_requests_compute_cold_and_hit_warm() {
     let input = concat!(
         "{\"id\":\"cold\",\"litmus_path\":\"litmus/mp_ra.litmus\",\"reduction\":\"sleep-set\"}\n",
-        "{\"id\":\"warm\",\"litmus_path\":\"litmus/mp_ra.litmus\",\"backend\":\"dpor\"}\n",
+        "{\"id\":\"warm\",\"litmus_path\":\"litmus/mp_ra.litmus\",\"reduction\":\"sleep-set\"}\n",
         "{\"id\":\"obj\",\"program\":\"vars x; thread t { x := 1; }\",",
         "\"reduction\":{\"kind\":\"sleep-set\"}}\n",
         "{\"id\":\"bad\",\"program\":\"vars x; thread t { x := 1; }\",",
-        "\"backend\":\"warp-drive\"}\n",
+        "\"reduction\":\"warp-drive\"}\n",
         "{\"id\":\"mix\",\"program\":\"vars x; thread t { x := 1; }\",",
-        "\"backend\":\"dpor\",\"reduction\":\"none\"}\n",
+        "\"backend\":\"dpor\"}\n",
     );
     let (ok, lines) = run_c11serve(&[], input);
-    assert!(!ok, "the bad backend line must fail the exit code");
+    assert!(!ok, "the bad reduction line must fail the exit code");
     assert_eq!(lines.len(), 6, "5 reports + summary: {lines:?}");
 
     let hit = |v: &Json| v.get("cache_hit").and_then(Json::as_bool);
@@ -215,7 +215,7 @@ fn dpor_backend_requests_compute_cold_and_hit_warm() {
     assert_eq!(
         hit(&lines[1]),
         Some(true),
-        "legacy-spelled resubmission hits the same cache entry"
+        "resubmission hits the same cache entry"
     );
     for line in &lines[..2] {
         assert_eq!(s(line, "status"), Some("ok"));
@@ -242,14 +242,16 @@ fn dpor_backend_requests_compute_cold_and_hit_warm() {
     );
     assert_eq!(s(&lines[3], "status"), Some("error"));
     assert!(
-        s(&lines[3], "error").unwrap().contains("dpor"),
-        "the error names the valid backends: {:?}",
+        s(&lines[3], "error").unwrap().contains("sleep-set"),
+        "the error names the valid reductions: {:?}",
         lines[3]
     );
     assert_eq!(s(&lines[4], "status"), Some("error"));
     assert!(
-        s(&lines[4], "error").unwrap().contains("legacy"),
-        "backend + reduction must be rejected as a legacy clash: {:?}",
+        s(&lines[4], "error")
+            .unwrap()
+            .contains("unknown key \"backend\""),
+        "the retired backend key is an unknown key: {:?}",
         lines[4]
     );
 }
@@ -314,8 +316,8 @@ fn tiny_timeouts_yield_timed_out_reports_not_errors() {
     let input = format!(
         concat!(
             "{{\"id\":\"seq\",\"program\":\"{p}\",\"timeout_ms\":0}}\n",
-            "{{\"id\":\"par\",\"program\":\"{p}\",\"timeout_ms\":0,\"backend\":{{\"kind\":\"parallel\",\"workers\":4}}}}\n",
-            "{{\"id\":\"dpor\",\"program\":\"{p}\",\"timeout_ms\":0,\"backend\":\"dpor\"}}\n",
+            "{{\"id\":\"par\",\"program\":\"{p}\",\"timeout_ms\":0,\"engine\":{{\"kind\":\"parallel\",\"workers\":4}}}}\n",
+            "{{\"id\":\"dpor\",\"program\":\"{p}\",\"timeout_ms\":0,\"reduction\":\"sleep-set\"}}\n",
         ),
         p = contended
     );

@@ -5,8 +5,8 @@
 //! `CheckRequest` front door (modulo `wall_micros`/work counters, which
 //! is exactly where DPOR differs: strictly fewer generated states on
 //! programs with independent steps), and the `c11check` CLI surface
-//! (`--reduction sleep-set`, the deprecated `--backend dpor` shim,
-//! `--help` guidance, unknown-value rejection).
+//! (`--reduction sleep-set`, `--help` guidance, unknown-value
+//! rejection).
 
 use c11_operational::explore::{explore_dpor, Stats};
 use c11_operational::litmus::{corpus, LitmusTest};
@@ -190,22 +190,6 @@ fn check_request_reports_byte_identical_across_backends_on_corpus() {
             );
         }
     }
-}
-
-/// The legacy `Backend` enum keeps working for one deprecation cycle:
-/// `Backend::Dpor` decomposes to the sequential engine + sleep-set
-/// reduction, and the `.backend(..)` sugar routes through the new axes.
-#[test]
-#[allow(deprecated)]
-fn legacy_backend_dpor_still_resolves_through_the_new_axes() {
-    assert_eq!(Backend::Dpor.engine(), Engine::Sequential);
-    assert_eq!(Backend::Dpor.reduction(), Reduction::SleepSet);
-    let report = CheckRequest::program("vars x; thread t1 { x := 1; } thread t2 { x := 2; }")
-        .backend(Backend::Dpor)
-        .run()
-        .unwrap();
-    assert_eq!(report.meta().engine, Engine::Sequential);
-    assert_eq!(report.meta().reduction, Reduction::SleepSet);
 }
 
 /// The `max_states` safety cap is the one bound outside the identical-
@@ -393,20 +377,12 @@ mod cli {
     }
 
     /// `--help` exits 0 and names every engine and reduction with
-    /// guidance (plus the deprecated --backend spelling).
+    /// guidance.
     #[test]
     fn help_lists_all_backends_with_guidance() {
         let (ok, stdout, _) = c11check(&["--help"]);
         assert!(ok, "--help must exit 0");
-        for name in [
-            "sequential",
-            "parallel",
-            "none",
-            "sleep-set",
-            "source-set",
-            "--backend",
-            "deprecated",
-        ] {
+        for name in ["sequential", "parallel", "none", "sleep-set", "source-set"] {
             assert!(stdout.contains(name), "--help must mention {name}");
         }
         assert!(
@@ -419,16 +395,15 @@ mod cli {
         );
     }
 
-    /// Unknown values are rejected with the valid set in the error, for
-    /// both new flags and the legacy one.
+    /// Unknown values are rejected with the valid set in the error, and
+    /// the retired `--backend` spelling is an unknown argument.
     #[test]
     fn unknown_backend_is_rejected_with_the_valid_set() {
-        let (ok, _, stderr) = c11check(&["--backend", "bogus", "litmus/mp_ra.litmus"]);
-        assert!(!ok, "unknown backend must fail");
-        assert!(stderr.contains("bogus"), "error names the offender");
+        let (ok, _, stderr) = c11check(&["litmus/mp_ra.litmus", "--backend", "dpor"]);
+        assert!(!ok, "--backend is gone");
         assert!(
-            stderr.contains("sequential, parallel, dpor"),
-            "error lists the valid set:\n{stderr}"
+            stderr.contains("unknown argument \"--backend\""),
+            "error names the offender:\n{stderr}"
         );
         let (ok, _, stderr) = c11check(&["--engine", "dpor", "litmus/mp_ra.litmus"]);
         assert!(!ok, "dpor is a reduction, not an engine");
@@ -442,37 +417,19 @@ mod cli {
             stderr.contains("none, sleep-set, source-set"),
             "error lists the valid reductions:\n{stderr}"
         );
-        let (ok, _, stderr) = c11check(&[
-            "--backend",
-            "dpor",
-            "--reduction",
-            "none",
-            "litmus/mp_ra.litmus",
-        ]);
-        assert!(!ok, "legacy and new flags must not combine");
-        assert!(stderr.contains("legacy"), "error says why:\n{stderr}");
     }
 
     /// The CLI end to end on the sleep-set reduction: litmus dir mode
-    /// passes and stamps the reduction into the JSON report — via the
-    /// new flag and via the deprecated `--backend dpor` shim alike.
+    /// passes and stamps the reduction into the JSON report.
     #[test]
     fn litmus_dir_mode_runs_on_dpor() {
-        for flags in [
-            &["--reduction", "sleep-set"] as &[&str],
-            &["--backend", "dpor"],
-        ] {
-            let args: Vec<&str> = ["--litmus", "litmus", "--json"]
-                .iter()
-                .chain(flags)
-                .copied()
-                .collect();
-            let (ok, stdout, stderr) = c11check(&args);
-            assert!(ok, "corpus must pass on sleep-set ({flags:?}): {stderr}");
-            assert!(stdout.contains("\"backend\":{\"kind\":\"sequential\"}"));
-            assert!(stdout
-                .contains("\"reduction\":{\"kind\":\"sleep-set\",\"contract\":\"exhaustive\"}"));
-            assert!(stdout.contains("\"failed\":0"));
-        }
+        let (ok, stdout, stderr) =
+            c11check(&["--litmus", "litmus", "--json", "--reduction", "sleep-set"]);
+        assert!(ok, "corpus must pass on sleep-set: {stderr}");
+        assert!(stdout.contains("\"backend\":{\"kind\":\"sequential\"}"));
+        assert!(
+            stdout.contains("\"reduction\":{\"kind\":\"sleep-set\",\"contract\":\"exhaustive\"}")
+        );
+        assert!(stdout.contains("\"failed\":0"));
     }
 }

@@ -63,18 +63,18 @@ fn parallel_backend_trait_matches_for_sc_too() {
     }
 }
 
-/// The acceptance criterion, verbatim: `CheckRequest { backend:
-/// Parallel { workers: 4 }, mode: Outcomes }` over the litmus corpus
-/// yields final register snapshots identical (as multisets) to the
-/// sequential backend.
+/// The acceptance criterion: `CheckRequest { engine: Parallel {
+/// workers: 4 }, mode: Outcomes }` over the litmus corpus yields final
+/// register snapshots identical (as multisets) to the sequential
+/// engine.
 #[test]
 fn check_request_outcomes_identical_across_backends_on_corpus() {
     for test in corpus() {
         let name = test.name.clone();
-        let run = |backend: Backend| {
+        let run = |engine: Engine| {
             let report = CheckRequest::litmus(test.clone())
                 .mode(Mode::Outcomes)
-                .backend(backend)
+                .engine(engine)
                 .run()
                 .expect("corpus programs parse");
             let CheckReport::Outcomes(o) = report else {
@@ -82,8 +82,8 @@ fn check_request_outcomes_identical_across_backends_on_corpus() {
             };
             o
         };
-        let seq = run(Backend::Sequential);
-        let par = run(Backend::Parallel { workers: 4 });
+        let seq = run(Engine::Sequential);
+        let par = run(Engine::Parallel { workers: 4 });
         // Outcome rows are deterministically sorted multiset rows, so
         // equality is exact (counts included).
         assert_eq!(seq.outcomes, par.outcomes, "{name}: outcome rows");
