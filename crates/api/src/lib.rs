@@ -485,10 +485,16 @@ impl CheckRequest {
         }
         // Invariants quantify over every reachable configuration; the
         // source-set reduction's finals-only contract cannot answer
-        // them, so fall back to the exhaustive sleep-set reduction.
-        let reduction = match (&self.mode, self.reduction) {
-            (Mode::Invariant(_), Reduction::SourceSet) => Reduction::SleepSet,
-            (_, r) => r,
+        // them, so they fall back to no reduction (and the report says
+        // so in its `"reduction"` block).
+        let reduction_fallback = matches!(
+            (&self.mode, self.reduction),
+            (Mode::Invariant(_), Reduction::SourceSet)
+        );
+        let reduction = if reduction_fallback {
+            Reduction::None
+        } else {
+            self.reduction
         };
         Ok(Resolved {
             input,
@@ -496,6 +502,7 @@ impl CheckRequest {
             bounds: self.bounds,
             engine: self.engine,
             reduction,
+            reduction_fallback,
             mode: self.mode,
             traces: self.traces,
             dot: self.dot,
@@ -516,6 +523,8 @@ pub(crate) struct Resolved {
     pub(crate) bounds: Bounds,
     pub(crate) engine: Engine,
     pub(crate) reduction: Reduction,
+    /// The request named a reduction its mode cannot honour.
+    reduction_fallback: bool,
     pub(crate) mode: Mode,
     pub(crate) traces: Option<bool>,
     pub(crate) dot: usize,
@@ -570,6 +579,7 @@ impl Resolved {
             model: self.model,
             engine: self.engine,
             reduction: self.reduction,
+            reduction_fallback: self.reduction_fallback,
             cache_hit: false,
         };
         if let Mode::LitmusVerdict = self.mode {
@@ -746,6 +756,11 @@ pub struct Meta {
     pub engine: Engine,
     /// The reduction layered on it.
     pub reduction: Reduction,
+    /// `true` when the request named a reduction its mode cannot honour
+    /// (an invariant under the finals-only source-set reduction), so the
+    /// run fell back to [`Reduction::None`]. The report then still
+    /// carries a `"reduction"` block, reading `"none"`.
+    pub reduction_fallback: bool,
     /// `true` iff this report was served from a [`Session`]'s result
     /// cache instead of a fresh exploration. A cached report is the
     /// originally-computed one verbatim (including its `wall_micros` and
@@ -765,17 +780,17 @@ impl Meta {
         }
     }
 
-    /// The report's `"reduction"` block. Only reduced runs carry the
-    /// key — reduction-free reports stay byte-identical to previous
-    /// schema emissions.
+    /// The report's `"reduction"` block. Only reduced runs and
+    /// fallbacks carry the key — reduction-free reports stay
+    /// byte-identical to previous schema emissions.
     fn reduction_json(&self) -> Option<Json> {
-        match self.reduction {
-            Reduction::None => None,
-            r => Some(Json::obj(vec![
+        let r = self.reduction;
+        (r != Reduction::None || self.reduction_fallback).then(|| {
+            Json::obj(vec![
                 ("kind", Json::str(r.kind_str())),
                 ("contract", Json::str(r.contract_str())),
-            ])),
-        }
+            ])
+        })
     }
 }
 
@@ -1290,7 +1305,7 @@ mod tests {
         for (engine, reduction) in [
             (Engine::Sequential, Reduction::None),
             (Engine::Parallel { workers: 4 }, Reduction::None),
-            (Engine::Sequential, Reduction::SleepSet),
+            (Engine::Sequential, Reduction::SourceSet),
         ] {
             let r = CheckRequest::program(SB)
                 .engine(engine)
@@ -1310,35 +1325,6 @@ mod tests {
         assert_eq!(reports[0], reports[1]);
         assert_eq!(reports[0], reports[2]);
         assert!(reports[0].contains("\"schema\":\"c11check/v1\""));
-    }
-
-    #[test]
-    fn sleep_set_reduction_reports_identical_outcomes_with_less_work() {
-        let seq = CheckRequest::program(SB).run().unwrap();
-        let dpor = CheckRequest::program(SB)
-            .reduction(Reduction::SleepSet)
-            .run()
-            .unwrap();
-        let (CheckReport::Outcomes(a), CheckReport::Outcomes(b)) = (&seq, &dpor) else {
-            panic!("expected outcome reports");
-        };
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(
-            a.stats.unique, b.stats.unique,
-            "sleep sets keep every state"
-        );
-        assert!(
-            b.stats.generated < a.stats.generated,
-            "SB's independent first writes must let siblings sleep"
-        );
-        assert_eq!(b.meta.engine, Engine::Sequential);
-        assert_eq!(b.meta.reduction, Reduction::SleepSet);
-        assert!(dpor
-            .to_json()
-            .contains("\"backend\":{\"kind\":\"sequential\"}"));
-        assert!(dpor
-            .to_json()
-            .contains("\"reduction\":{\"kind\":\"sleep-set\",\"contract\":\"exhaustive\"}"));
     }
 
     #[test]
@@ -1364,20 +1350,18 @@ mod tests {
 
     #[test]
     fn parallel_engine_rejects_reductions() {
-        for reduction in [Reduction::SleepSet, Reduction::SourceSet] {
-            let err = CheckRequest::program(SB)
-                .engine(Engine::Parallel { workers: 2 })
-                .reduction(reduction)
-                .run();
-            let Err(CheckError::Unsupported(msg)) = err else {
-                panic!("parallel × {reduction:?} must be rejected");
-            };
-            assert!(msg.contains(reduction.kind_str()), "{msg}");
-        }
+        let err = CheckRequest::program(SB)
+            .engine(Engine::Parallel { workers: 2 })
+            .reduction(Reduction::SourceSet)
+            .run();
+        let Err(CheckError::Unsupported(msg)) = err else {
+            panic!("parallel × source-set must be rejected");
+        };
+        assert!(msg.contains("source-set"), "{msg}");
     }
 
     #[test]
-    fn invariant_mode_downgrades_source_set_to_sleep_set() {
+    fn invariant_mode_falls_back_from_source_set_to_none() {
         // Invariants inspect every reachable configuration; the
         // finals-only contract cannot answer them, so the request is
         // answered exhaustively (and says so in its meta).
@@ -1392,7 +1376,11 @@ mod tests {
         let CheckReport::Invariant(r) = &report else {
             panic!()
         };
-        assert_eq!(report.meta().reduction, Reduction::SleepSet);
+        assert_eq!(report.meta().reduction, Reduction::None);
+        assert!(report.meta().reduction_fallback);
+        assert!(report
+            .to_json()
+            .contains("\"reduction\":{\"kind\":\"none\",\"contract\":\"exhaustive\"}"));
         assert!(!r.holds, "RA allows the SB weak outcome");
     }
 }

@@ -413,10 +413,6 @@ pub fn stats_line(id: &str, stats: &SessionStats) -> String {
         ("explorations", Json::from(stats.explorations)),
         ("explorations_none", Json::from(stats.explorations_none)),
         (
-            "explorations_sleep_set",
-            Json::from(stats.explorations_sleep_set),
-        ),
-        (
             "explorations_source_set",
             Json::from(stats.explorations_source_set),
         ),
@@ -584,8 +580,8 @@ mod tests {
             format!(r#"{{{prog},"engine":{{"kind":"parallel","workers":4}}}}"#),
             format!(r#"{{{prog},"reduction":"source-set"}}"#),
             format!(r#"{{{prog},"reduction":{{"kind":"source-set"}}}}"#),
-            format!(r#"{{{prog},"reduction":{{"kind":"sleep-set","contract":"exhaustive"}}}}"#),
-            format!(r#"{{{prog},"engine":"sequential","reduction":"sleep-set"}}"#),
+            format!(r#"{{{prog},"reduction":{{"kind":"none","contract":"exhaustive"}}}}"#),
+            format!(r#"{{{prog},"engine":"sequential","reduction":"none"}}"#),
         ] {
             let v = Json::parse(&ok).unwrap();
             assert!(request_from_json(&v).is_ok(), "{ok}");
@@ -597,7 +593,16 @@ mod tests {
             ),
             (
                 format!(r#"{{{prog},"reduction":"dpor"}}"#),
-                "\"none\", \"sleep-set\" or \"source-set\"",
+                "\"none\" or \"source-set\"",
+            ),
+            // Removed selections name the surviving set.
+            (
+                format!(r#"{{{prog},"reduction":"sleep-set"}}"#),
+                "\"none\" or \"source-set\"",
+            ),
+            (
+                format!(r#"{{{prog},"store":"shared"}}"#),
+                "\"flat\" or \"sym\"",
             ),
             (
                 format!(
@@ -652,7 +657,6 @@ mod tests {
             "cache_hits",
             "explorations",
             "explorations_none",
-            "explorations_sleep_set",
             "explorations_source_set",
             "errors",
             "evictions",

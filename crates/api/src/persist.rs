@@ -26,7 +26,7 @@
 
 use crate::json::Json;
 use crate::net::{engine_from_json, reduction_from_json};
-use crate::session::{CacheKey, Contract, ModeKey};
+use crate::session::{CacheKey, ModeKey};
 use crate::{
     Bounds, CheckReport, CountReport, LitmusVerdictReport, Meta, ModelChoice, OutcomeRow,
     OutcomesReport, Reduction,
@@ -140,8 +140,8 @@ fn key_json(key: &CacheKey) -> Json {
     // Exhaustive keys omit the component (absent means exhaustive on
     // load), keeping pre-reduction snapshots readable and
     // reduction-free snapshots byte-stable.
-    if key.contract == Contract::FinalsOnly {
-        pairs.push(("contract", Json::str("finals-only")));
+    if key.reduction != Reduction::None {
+        pairs.push(("contract", Json::str(key.reduction.contract_str())));
     }
     Json::obj(pairs)
 }
@@ -204,17 +204,12 @@ fn key_from_json(v: &Json) -> Result<CacheKey, String> {
         Some(Json::UInt(ms)) => Some(*ms),
         Some(_) => return Err("key \"timeout_ms\" must be an integer or null".to_string()),
     };
-    let contract = match v.get("contract") {
-        None => Contract::Exhaustive,
-        Some(c) => match c.as_str() {
-            Some("exhaustive") => Contract::Exhaustive,
-            Some("finals-only") => Contract::FinalsOnly,
-            _ => {
-                return Err(
-                    "key \"contract\" must be \"exhaustive\" or \"finals-only\"".to_string()
-                );
-            }
-        },
+    let reduction = match v.get("contract") {
+        None => Reduction::None,
+        Some(c) => Reduction::ALL
+            .into_iter()
+            .find(|r| c.as_str() == Some(r.contract_str()))
+            .ok_or("key \"contract\" must be \"exhaustive\" or \"finals-only\"")?,
     };
     Ok(CacheKey {
         schema: SCHEMA_VERSION,
@@ -224,7 +219,7 @@ fn key_from_json(v: &Json) -> Result<CacheKey, String> {
         mode,
         traces,
         dot,
-        contract,
+        reduction,
         timeout_ms,
     })
 }
@@ -395,6 +390,7 @@ fn report_from_json(v: &Json) -> Result<CheckReport, String> {
                 model: model_from_str(string_field(v, "model")?)?,
                 engine,
                 reduction,
+                reduction_fallback: false,
                 cache_hit: false,
             },
             stats: stats_of("stats")?,
@@ -416,6 +412,7 @@ fn report_from_json(v: &Json) -> Result<CheckReport, String> {
                     model: model_from_str(string_field(v, "model")?)?,
                     engine,
                     reduction,
+                    reduction_fallback: false,
                     cache_hit: false,
                 },
                 stats: stats_of("stats")?,
@@ -434,6 +431,7 @@ fn report_from_json(v: &Json) -> Result<CheckReport, String> {
                 model: ModelChoice::default(),
                 engine,
                 reduction,
+                reduction_fallback: false,
                 cache_hit: false,
             },
             name: string_field(v, "name")?.to_string(),
@@ -474,7 +472,6 @@ mod tests {
             CheckRequest::program(SB).traces(true).dot(1),
             CheckRequest::program(SB).model(ModelChoice::Sc),
             CheckRequest::program(SB).timeout(std::time::Duration::from_secs(600)),
-            CheckRequest::program(SB).reduction(Reduction::SleepSet),
             CheckRequest::program(SB).reduction(Reduction::SourceSet),
         ] {
             let (key, report) = entry(req);

@@ -5,7 +5,8 @@
 //!
 //! ## Scheduling
 //!
-//! [`Session::submit`] enqueues a job and returns a [`JobId`];
+//! [`Session::submit`] resolves the request on the caller's thread,
+//! claims its cache slot, enqueues the job and returns a [`JobId`];
 //! [`Session::wait`] blocks until that job's report is ready. Jobs are
 //! executed by a fixed pool of worker threads (spawned lazily on the
 //! first `submit`, so sessions used only for inline [`Session::run`]
@@ -20,7 +21,7 @@
 //! ## Caching
 //!
 //! Results are cached under `(input fingerprint, model, bounds, mode,
-//! traces, dot, contract)` — see [`Resolved::fingerprint`] for the input
+//! traces, dot, reduction)` — see [`Resolved::fingerprint`] for the input
 //! identity, which reuses the fixed-seed FNV/splitmix machinery behind
 //! `MemoryModel::state_fingerprint`. The engine is deliberately *not*
 //! part of the key: every engine produces the same report for the same
@@ -34,7 +35,9 @@
 //! [`Meta::cache_hit`](crate::Meta::cache_hit) flipped on. Concurrent
 //! identical submissions coalesce: the first computes, the rest wait on
 //! the pending slot — a warm or contended session performs at most one
-//! exploration per distinct key.
+//! exploration per distinct key. Submitted jobs claim their slot at
+//! submission, in submission order, so of two identical jobs the one
+//! submitted first is always the one that computes.
 
 use crate::batch::{BatchReport, BatchRequest};
 use crate::{CheckError, CheckReport, CheckRequest, Mode, Resolved};
@@ -165,8 +168,6 @@ pub struct SessionStats {
     pub explorations: usize,
     /// Engine runs that used no reduction (part of `explorations`).
     pub explorations_none: usize,
-    /// Engine runs under the sleep-set reduction (part of `explorations`).
-    pub explorations_sleep_set: usize,
     /// Engine runs under the source-set reduction (part of `explorations`).
     pub explorations_source_set: usize,
     /// Requests rejected before execution (parse/mode errors).
@@ -189,34 +190,10 @@ pub struct SessionStats {
     pub persist_locked: usize,
 }
 
-/// The answer contract a report satisfies: what a request under a given
-/// reduction is entitled to, and therefore what a cached report can
-/// serve. Derived from the request's [`Reduction`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub(crate) enum Contract {
-    /// Every reachable configuration visited; `unique`/`generated` are
-    /// the true state-space counts ([`Reduction::None`] and
-    /// [`Reduction::SleepSet`]).
-    #[default]
-    Exhaustive,
-    /// Finals, verdicts and violations exact; intermediate-state counts
-    /// intentionally smaller ([`Reduction::SourceSet`]).
-    FinalsOnly,
-}
-
-impl Contract {
-    pub(crate) fn of(r: Reduction) -> Contract {
-        match r {
-            Reduction::None | Reduction::SleepSet => Contract::Exhaustive,
-            Reduction::SourceSet => Contract::FinalsOnly,
-        }
-    }
-}
-
 /// The result-cache key. The engine is deliberately absent — see the
-/// module docs for why — while the reduction contributes its answer
-/// [`Contract`], and [`Mode`] contributes its discriminant plus
-/// whatever identity the variant carries.
+/// module docs for why — while the reduction is present for its answer
+/// contract, and [`Mode`] contributes its discriminant plus whatever
+/// identity the variant carries.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
     /// The report-schema version the cached report was rendered under
@@ -230,9 +207,10 @@ pub(crate) struct CacheKey {
     pub(crate) mode: ModeKey,
     pub(crate) traces: Option<bool>,
     pub(crate) dot: usize,
-    /// The reduction's answer contract: finals-only answers never serve
-    /// exhaustive requests (and vice versa).
-    pub(crate) contract: Contract,
+    /// The reduction that answers, which fixes the report's contract:
+    /// finals-only answers never serve exhaustive requests (and vice
+    /// versa).
+    pub(crate) reduction: Reduction,
     /// Effective deadline in milliseconds. Part of the key so a report
     /// computed under a tight deadline can never answer a patient
     /// request (and vice versa); `None` for unbudgeted jobs.
@@ -300,7 +278,7 @@ impl CacheKey {
             mode,
             traces: if litmus { None } else { r.traces },
             dot: if litmus { 0 } else { r.dot },
-            contract: Contract::of(r.reduction),
+            reduction: r.reduction,
             timeout_ms: r.timeout.map(|d| d.as_millis()),
         }
     }
@@ -355,9 +333,26 @@ struct CacheState {
 /// A completed (or pending) job's result cell.
 type JobResult = Option<Result<CheckReport, CheckError>>;
 
+/// A cache slot claimed for one key: as its owner (compute and publish)
+/// or as a waiter on another request's pending or ready slot.
+struct Claim {
+    key: CacheKey,
+    slot: CacheSlot,
+    owner: bool,
+}
+
+/// A queued job: what [`Session::submit`] settled on the caller's
+/// thread — the resolved request and the slot it claimed (none with the
+/// cache off), or the error [`Session::wait`] surfaces.
+struct Job {
+    id: u64,
+    token: Budget,
+    work: Result<(Resolved, Option<Claim>), CheckError>,
+}
+
 struct Inner {
     cfg: SessionConfig,
-    queue: Mutex<VecDeque<(u64, CheckRequest, Budget)>>,
+    queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     /// `id → None` while in flight, `Some(result)` when done; removed
     /// when collected by `wait`.
@@ -373,7 +368,6 @@ struct Inner {
     cache_hits: AtomicUsize,
     explorations: AtomicUsize,
     explorations_none: AtomicUsize,
-    explorations_sleep_set: AtomicUsize,
     explorations_source_set: AtomicUsize,
     errors: AtomicUsize,
     evictions: AtomicUsize,
@@ -384,16 +378,16 @@ struct Inner {
 }
 
 impl Inner {
-    /// Resolves, schedules (backend upgrade) and computes one request,
-    /// consulting the cache. Runs on a pool worker for submitted jobs
-    /// and on the caller's thread for [`Session::run`]. `submitted` is
-    /// counted at acceptance (`submit`/`run`), not here; the
-    /// completed/errors counters stay consistent even if a user
-    /// invariant closure panics mid-compute.
-    fn execute(&self, req: CheckRequest, token: &Budget) -> Result<CheckReport, CheckError> {
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.execute_inner(req, token)
-        }));
+    /// Runs one job — a prepared request's answer — keeping the
+    /// completed/errors counters consistent even if a user invariant
+    /// closure panics mid-compute. Runs on a pool worker for submitted
+    /// jobs and on the caller's thread for [`Session::run`]. `submitted`
+    /// is counted at acceptance (`submit`/`run`), not here.
+    fn execute(
+        &self,
+        job: impl FnOnce() -> Result<CheckReport, CheckError>,
+    ) -> Result<CheckReport, CheckError> {
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
         match out {
             Ok(result) => {
                 if result.is_err() {
@@ -410,7 +404,10 @@ impl Inner {
         }
     }
 
-    fn execute_inner(&self, req: CheckRequest, token: &Budget) -> Result<CheckReport, CheckError> {
+    /// Resolves a request and applies the session's scheduling: the
+    /// large-job upgrade and the effective deadline, both of which feed
+    /// the cache key.
+    fn prepare(&self, req: CheckRequest) -> Result<Resolved, CheckError> {
         let mut resolved = req.resolve()?;
         // Large-job upgrade: wide programs get the parallel engine.
         // Reduced jobs are left alone — reductions are sequential
@@ -433,11 +430,7 @@ impl Inner {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        if !self.cfg.cache {
-            self.count_exploration(resolved.reduction);
-            return Ok(resolved.compute(token));
-        }
-        self.cached_compute(resolved, token)
+        Ok(resolved)
     }
 
     /// Counts one engine run, total and per reduction (the service's
@@ -446,39 +439,53 @@ impl Inner {
         self.explorations.fetch_add(1, Ordering::Relaxed);
         let per = match reduction {
             Reduction::None => &self.explorations_none,
-            Reduction::SleepSet => &self.explorations_sleep_set,
             Reduction::SourceSet => &self.explorations_source_set,
         };
         per.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn cached_compute(
+    /// Claims the cache slot for `key`: the existing one as a waiter,
+    /// or a fresh pending one as its owner.
+    fn claim(&self, key: CacheKey) -> Claim {
+        let mut cache = self.cache.lock().unwrap();
+        let (slot, owner) = match cache.slots.entry(key.clone()) {
+            Entry::Occupied(e) => (e.get().clone(), false),
+            Entry::Vacant(v) => (v.insert(CacheEntry::pending()).clone(), true),
+        };
+        Claim { key, slot, owner }
+    }
+
+    /// Answers a prepared request, uncached or through `claim` (made at
+    /// submission for queued jobs, here for inline runs).
+    fn answer(
         &self,
-        resolved: Resolved,
+        resolved: &Resolved,
+        claim: Option<Claim>,
         token: &Budget,
     ) -> Result<CheckReport, CheckError> {
-        let key = CacheKey::of(&resolved);
+        if !self.cfg.cache {
+            self.count_exploration(resolved.reduction);
+            return Ok(resolved.compute(token));
+        }
+        let mut claim = claim.unwrap_or_else(|| self.claim(CacheKey::of(resolved)));
         loop {
-            let (slot, owner) = {
-                let mut cache = self.cache.lock().unwrap();
-                match cache.slots.entry(key.clone()) {
-                    Entry::Occupied(e) => (e.get().clone(), false),
-                    Entry::Vacant(v) => {
-                        let slot = CacheEntry::pending();
-                        v.insert(slot.clone());
-                        (slot, true)
-                    }
-                }
-            };
-            if owner {
-                return Ok(self.compute_as_owner(&key, &slot, &resolved, token));
+            if claim.owner {
+                return Ok(self.compute_as_owner(&claim.key, &claim.slot, resolved, token));
             }
-            match self.wait_on_slot(&slot, token)? {
+            match self.wait_on_slot(&claim.slot, token)? {
                 Some(report) => return Ok(report),
-                // Poisoned, or a *different* job's cancellation: retry —
-                // this thread becomes the new owner (and surfaces the
-                // panic itself if the compute deterministically panics).
-                None => continue,
+                // Poisoned, or a *different* job's cancellation: retry
+                // as the owner of a fresh slot (and surface the panic
+                // here if the compute deterministically panics). A
+                // fresh slot, not whatever slot a later job claimed
+                // meanwhile: that job may still be queued behind this
+                // one, and waiting on it could stall the pool.
+                None => {
+                    claim.slot = CacheEntry::pending();
+                    claim.owner = true;
+                    let mut cache = self.cache.lock().unwrap();
+                    cache.slots.insert(claim.key.clone(), claim.slot.clone());
+                }
             }
         }
     }
@@ -676,7 +683,6 @@ impl Session {
                 cache_hits: AtomicUsize::new(0),
                 explorations: AtomicUsize::new(0),
                 explorations_none: AtomicUsize::new(0),
-                explorations_sleep_set: AtomicUsize::new(0),
                 explorations_source_set: AtomicUsize::new(0),
                 errors: AtomicUsize::new(0),
                 evictions: AtomicUsize::new(0),
@@ -813,18 +819,28 @@ impl Session {
     /// Runs one request inline on the calling thread (through the cache,
     /// bypassing the pool). This is what [`CheckRequest::run`] shims to.
     pub fn run(&self, req: CheckRequest) -> Result<CheckReport, CheckError> {
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        self.inner.execute(req, &Budget::unlimited())
+        let inner = &self.inner;
+        inner.submitted.fetch_add(1, Ordering::Relaxed);
+        inner.execute(|| inner.answer(&inner.prepare(req)?, None, &Budget::unlimited()))
     }
 
-    /// Enqueues a request on the worker pool and returns a handle to
-    /// redeem with [`Session::wait`]. Spawns the pool on first use.
+    /// Resolves a request on the calling thread, claims its cache slot,
+    /// enqueues it on the worker pool and returns a handle to redeem
+    /// with [`Session::wait`]. Spawns the pool on first use. Resolution
+    /// errors are not returned here: like the report, they surface at
+    /// `wait`.
     ///
     /// With [`SessionConfig::max_queue_depth`] set, a full queue rejects
     /// the request with [`CheckError::Overloaded`] instead of queueing
-    /// it — the request is *not* counted as submitted and gets no id.
+    /// it — the request is *not* counted as submitted, gets no id and
+    /// claims no cache slot.
     pub fn submit(&self, req: CheckRequest) -> Result<JobId, CheckError> {
         self.ensure_pool();
+        // A panicking resolution becomes the job's error, as a panicking
+        // compute does on the worker.
+        let prepared =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.inner.prepare(req)))
+                .unwrap_or_else(|panic| Err(panicked(panic)));
         let token = Budget::unlimited();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.inner.results.lock().unwrap().insert(id, None);
@@ -842,8 +858,18 @@ impl Session {
                     return Err(CheckError::Overloaded);
                 }
             }
+            // Claiming under the queue lock makes claim order queue
+            // order: an owner is always dequeued before its waiters.
+            let work = prepared.map(|resolved| {
+                let claim = self
+                    .inner
+                    .cfg
+                    .cache
+                    .then(|| self.inner.claim(CacheKey::of(&resolved)));
+                (resolved, claim)
+            });
             self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-            queue.push_back((id, req, token));
+            queue.push_back(Job { id, token, work });
         }
         self.inner.queue_cv.notify_one();
         Ok(JobId(id))
@@ -931,7 +957,6 @@ impl Session {
             cache_hits: i.cache_hits.load(Ordering::Relaxed),
             explorations: i.explorations.load(Ordering::Relaxed),
             explorations_none: i.explorations_none.load(Ordering::Relaxed),
-            explorations_sleep_set: i.explorations_sleep_set.load(Ordering::Relaxed),
             explorations_source_set: i.explorations_source_set.load(Ordering::Relaxed),
             errors: i.errors.load(Ordering::Relaxed),
             evictions: i.evictions.load(Ordering::Relaxed),
@@ -985,25 +1010,34 @@ fn worker_loop(inner: &Inner) {
                 queue = inner.queue_cv.wait(queue).unwrap();
             }
         };
-        let Some((id, req, token)) = job else { return };
+        let Some(Job { id, token, work }) = job else {
+            return;
+        };
         // A panicking job (user invariant closure) must neither kill the
         // worker nor leave the job's result cell empty forever.
         // `execute` keeps the counters consistent before re-raising, so
         // this only has to keep the worker alive and fill the result.
-        let out =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inner.execute(req, &token)))
-                .unwrap_or_else(|panic| {
-                    let what = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    Err(CheckError::Session(format!("job panicked: {what}")))
-                });
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            inner.execute(|| {
+                let (resolved, claim) = work?;
+                inner.answer(&resolved, claim, &token)
+            })
+        }))
+        .unwrap_or_else(|panic| Err(panicked(panic)));
         inner.jobs.lock().unwrap().remove(&id);
         inner.results.lock().unwrap().insert(id, Some(out));
         inner.results_cv.notify_all();
     }
+}
+
+/// The session error a caught panic turns into.
+fn panicked(panic: Box<dyn std::any::Any + Send>) -> CheckError {
+    let what = panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string());
+    CheckError::Session(format!("job panicked: {what}"))
 }
 
 #[cfg(test)]
@@ -1159,13 +1193,11 @@ mod tests {
         // parallel engine cannot host a reduction, and upgrading would
         // change what the caller asked for.
         let session = Session::new(SessionConfig::default().workers(3).parallel_threshold(2));
-        for reduction in [Reduction::SleepSet, Reduction::SourceSet] {
-            let report = session
-                .run(CheckRequest::program(SB).reduction(reduction))
-                .unwrap();
-            assert_eq!(report.meta().engine, Engine::Sequential, "{reduction:?}");
-            assert_eq!(report.meta().reduction, reduction);
-        }
+        let report = session
+            .run(CheckRequest::program(SB).reduction(Reduction::SourceSet))
+            .unwrap();
+        assert_eq!(report.meta().engine, Engine::Sequential);
+        assert_eq!(report.meta().reduction, Reduction::SourceSet);
     }
 
     #[test]
@@ -1181,11 +1213,11 @@ mod tests {
         assert!(!seq.cache_hit(), "contract must separate the keys");
         assert!(seq.stats().unique > src.stats().unique);
         // Within one contract, engine differences still coalesce: the
-        // sleep-set spelling is exhaustive and hits the sequential entry.
-        let dpor = session
-            .run(CheckRequest::program(SB).reduction(Reduction::SleepSet))
+        // parallel spelling hits the sequential entry.
+        let par = session
+            .run(CheckRequest::program(SB).engine(Engine::Parallel { workers: 2 }))
             .unwrap();
-        assert!(dpor.cache_hit(), "exhaustive contract is engine-agnostic");
+        assert!(par.cache_hit(), "exhaustive contract is engine-agnostic");
         // Re-running source-set hits its own entry.
         let warm = session
             .run(CheckRequest::program(SB).reduction(Reduction::SourceSet))
@@ -1194,7 +1226,6 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.explorations, 2);
         assert_eq!(stats.explorations_none, 1);
-        assert_eq!(stats.explorations_sleep_set, 0);
         assert_eq!(stats.explorations_source_set, 1);
     }
 
@@ -1245,6 +1276,44 @@ mod tests {
         }
         assert_eq!(session.stats().explorations, 1);
         assert_eq!(hits, 7);
+    }
+
+    #[test]
+    fn the_first_submitted_of_identical_jobs_computes() {
+        // Slots are claimed at submission, so no worker race can hand
+        // the first job the hit and the second the compute.
+        for _ in 0..20 {
+            let session = Session::new(SessionConfig::default().workers(2));
+            let first = session.submit(CheckRequest::program(SB)).unwrap();
+            let second = session.submit(CheckRequest::program(SB)).unwrap();
+            assert!(!session.wait(first).unwrap().cache_hit());
+            assert!(session.wait(second).unwrap().cache_hit());
+            assert_eq!(session.stats().explorations, 1);
+        }
+    }
+
+    #[test]
+    fn a_cancelled_queued_owner_lets_its_waiter_recompute() {
+        // One worker held by a slow job: the owner and its waiter queue
+        // behind it, and the owner is cancelled before it runs.
+        let session = Session::new(SessionConfig::default().workers(1));
+        let drag = Invariant::new("drag", |_v| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            true
+        });
+        let slow = session
+            .submit(CheckRequest::program(SB).mode(Mode::Invariant(drag)))
+            .unwrap();
+        let owner = session.submit(CheckRequest::program(SB)).unwrap();
+        let waiter = session.submit(CheckRequest::program(SB)).unwrap();
+        assert!(session.cancel(owner));
+        assert_eq!(session.wait(owner).unwrap().status_str(), "cancelled");
+        let report = session.wait(waiter).unwrap();
+        assert_eq!(report.status_str(), "ok");
+        assert!(!report.cache_hit(), "the waiter computed it afresh");
+        session.wait(slow).unwrap();
+        // The recomputed report is cached for later requests.
+        assert!(session.run(CheckRequest::program(SB)).unwrap().cache_hit());
     }
 
     #[test]

@@ -25,8 +25,8 @@ use c11_bench::{
 };
 use c11_core::model::RaModel;
 use c11_explore::{
-    explore_dpor, explore_source, parallel_explore, Budget, ExploreConfig, ExploreResult, Explorer,
-    StoreKind, SymClasses,
+    explore_source, parallel_explore, Budget, ExploreConfig, ExploreResult, Explorer, StoreKind,
+    SymClasses,
 };
 use c11_litmus::{corpus, run_test};
 use std::time::{Duration, Instant};
@@ -147,70 +147,17 @@ fn bench_scaling(reps: usize, quick: bool, budget: Option<Duration>, rows: &mut 
     }
 }
 
-/// The DPOR reduction group: the E13 wide and E16 contended shapes under
-/// the sleep-set engine, with the reduction ratio (dpor generated ÷
-/// sequential generated) printed per shape. Asserts the backend's
-/// contract while measuring: identical unique/finals, strictly fewer
-/// generated transitions.
-fn bench_dpor(reps: usize, quick: bool, rows: &mut Vec<Row>) {
-    let wide: &[usize] = if quick { &[2, 3] } else { &[2, 3, 4] };
-    let contended: &[usize] = if quick { &[3] } else { &[3, 4] };
-    let shapes = wide
-        .iter()
-        .map(|&k| (format!("E13-wide-{k}"), wide_workload(k), 2 * k + 4))
-        .chain(
-            contended
-                .iter()
-                .map(|&k| (format!("E16-contended-{k}"), contended_workload(k), 24)),
-        );
-    for (name, prog, max_events) in shapes {
-        let cfg = ExploreConfig::default().max_events(max_events);
-        let seq = Explorer::new(RaModel).explore(&prog, cfg.clone());
-        let mut generated = 0usize;
-        let nanos = best_of(reps, || {
-            let res = explore_dpor(&RaModel, &prog, &cfg);
-            assert_eq!(res.unique, seq.unique, "{name}: DPOR must keep every state");
-            assert!(
-                res.generated < seq.generated,
-                "{name}: DPOR must generate strictly fewer states ({} vs {})",
-                res.generated,
-                seq.generated
-            );
-            let mut a = seq.final_snapshots();
-            let mut b = res.final_snapshots();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "{name}: finals multiset");
-            generated = res.generated;
-            res
-        });
-        println!(
-            "dpor reduction {name}: generated {generated} vs sequential {} (ratio {:.2})",
-            seq.generated,
-            generated as f64 / seq.generated as f64
-        );
-        rows.push(Row {
-            group: "dpor",
-            name,
-            size: generated,
-            nanos,
-            interrupted: false,
-            ..Row::default()
-        });
-    }
-}
-
-/// The source-set reduction group: the sleep-set group's shapes explored
-/// under the source-set engine, with the finals-only contract asserted
-/// while measuring — identical finals multiset, and the headline ≥ 2×
-/// generated reduction on the contended family. The wide (read-fan-out)
-/// shapes are recorded without a ratio gate: a stateless per-trace walk
-/// legitimately re-generates states a stateful sleep-set search dedups,
-/// so the win is shape-dependent. Row size is the generated count, so the ratio
-/// against sleep-set is derivable from the `dpor` rows of the same
-/// shape. Row names carry `reduction` so the CI gate's
-/// `--require-match reduction` anchors on them. The contended shapes run
-/// in quick mode too: E16-contended-4 is the ISSUE's acceptance shape.
+/// The source-set reduction group: the E13 wide and E16 contended shapes
+/// explored under the source-set engine, with the finals-only contract
+/// asserted while measuring — the finals multiset of the sequential
+/// engine, and at most two fifths of its generated states on the
+/// contended family. The wide (read-fan-out) shapes are recorded
+/// without a ratio gate: a stateless per-trace walk legitimately
+/// re-generates states a stateful search dedups, so the win is
+/// shape-dependent. Row size is the generated count. Row names carry
+/// `reduction` so the CI gate's `--require-match reduction` anchors on
+/// them. The contended shapes run in quick mode too: E16-contended-4 is
+/// the acceptance shape.
 fn bench_reduction(reps: usize, quick: bool, rows: &mut Vec<Row>) {
     let wide: &[usize] = if quick { &[2, 3] } else { &[2, 3, 4] };
     let shapes = wide
@@ -223,31 +170,31 @@ fn bench_reduction(reps: usize, quick: bool, rows: &mut Vec<Row>) {
         );
     for (name, prog, max_events) in shapes {
         let cfg = ExploreConfig::default().max_events(max_events);
-        let sleep = explore_dpor(&RaModel, &prog, &cfg);
+        let seq = Explorer::new(RaModel).explore(&prog, cfg.clone());
         let contended_shape = name.starts_with("E16");
         let mut generated = 0usize;
         let nanos = best_of(reps, || {
             let res = explore_source(&RaModel, &prog, &cfg);
-            let mut a = sleep.final_snapshots();
+            let mut a = seq.final_snapshots();
             let mut b = res.final_snapshots();
             a.sort();
             b.sort();
             assert_eq!(a, b, "{name}: finals multiset");
             if contended_shape {
                 assert!(
-                    res.generated * 2 <= sleep.generated,
-                    "{name}: source-set must generate ≤ half of sleep-set ({} vs {})",
+                    res.generated * 5 <= seq.generated * 2,
+                    "{name}: source-set must generate ≤ 0.4× the sequential engine ({} vs {})",
                     res.generated,
-                    sleep.generated
+                    seq.generated
                 );
             }
             generated = res.generated;
             res
         });
         println!(
-            "source reduction {name}: generated {generated} vs sleep-set {} (ratio {:.2})",
-            sleep.generated,
-            generated as f64 / sleep.generated as f64
+            "source reduction {name}: generated {generated} vs sequential {} (ratio {:.2})",
+            seq.generated,
+            generated as f64 / seq.generated as f64
         );
         rows.push(Row {
             group: "reduction",
@@ -338,11 +285,10 @@ fn bench_worker_scaling(reps: usize, budget: Option<Duration>, rows: &mut Vec<Ro
 /// thread-permutation group acts with near-factorial orbits) explored
 /// under each `--store` backend. Rows carry the numbers the CI
 /// `state-storage` gate checks alongside wall time: `unique` (the
-/// symmetry quotient shrinks it) and `bytes_resident` (hash-consed
-/// chunk sharing shrinks it). Agreement of all backends on the
-/// canonical final register states is asserted while measuring, as are
-/// the two headline reductions (≥ 3× fewer unique states under `sym`,
-/// fewer resident bytes under `shared`).
+/// symmetry quotient shrinks it) and `bytes_resident`. Agreement of
+/// both backends on the canonical final register states is asserted
+/// while measuring, as is the headline reduction (≥ 3× fewer unique
+/// states under `sym`).
 fn bench_store(reps: usize, budget: Option<Duration>, rows: &mut Vec<Row>) {
     let shapes = [
         ("E13-wide-4", sym_fan_workload(2, 3), 16),
@@ -407,10 +353,10 @@ fn bench_store(reps: usize, budget: Option<Duration>, rows: &mut Vec<Row>) {
                 bytes_resident: Some(bytes),
             });
         }
-        // The headline reductions, asserted only over complete runs (a
+        // The headline reduction, asserted only over complete runs (a
         // budget-interrupted backend has nothing comparable to say).
         let of = |k: StoreKind| measured.iter().find(|(m, ..)| *m == k).copied();
-        if let (Some((_, flat_u, flat_b)), Some((_, sym_u, _))) =
+        if let (Some((_, flat_u, _)), Some((_, sym_u, _))) =
             (of(StoreKind::Flat), of(StoreKind::Sym))
         {
             assert!(
@@ -421,20 +367,6 @@ fn bench_store(reps: usize, budget: Option<Duration>, rows: &mut Vec<Row>) {
                 "store {family}: symmetry quotient {flat_u} -> {sym_u} unique ({:.1}x)",
                 flat_u as f64 / sym_u as f64
             );
-            if let Some((_, shared_u, shared_b)) = of(StoreKind::Shared) {
-                assert_eq!(
-                    shared_u, flat_u,
-                    "{family}: shared store must not drop states"
-                );
-                assert!(
-                    shared_b < flat_b,
-                    "{family}: hash-consing must lower resident bytes ({flat_b} vs {shared_b})"
-                );
-                println!(
-                    "store {family}: resident bytes {flat_b} flat vs {shared_b} shared ({:.2}x)",
-                    flat_b as f64 / shared_b as f64
-                );
-            }
         }
     }
 }
@@ -561,11 +493,10 @@ fn main() {
     // An unknown group name must error, not silently run nothing and
     // exit 0 — a CI job with a typoed `--only` would otherwise pass
     // while measuring no rows at all.
-    const GROUPS: [&str; 8] = [
+    const GROUPS: [&str; 7] = [
         "corpus",
         "wide",
         "contended",
-        "dpor",
         "reduction",
         "scaling",
         "closure",
@@ -587,9 +518,6 @@ fn main() {
     }
     if want("wide") || want("contended") {
         bench_scaling(reps, quick, budget, &mut rows);
-    }
-    if want("dpor") {
-        bench_dpor(reps, quick, &mut rows);
     }
     if want("reduction") {
         bench_reduction(reps, quick, &mut rows);

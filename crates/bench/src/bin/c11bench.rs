@@ -8,7 +8,7 @@
 //!
 //! # Fail if two `c11check --litmus --json` documents disagree on any
 //! # per-test verdict (pass / observed_ra / observed_sc / expectations):
-//! c11bench verdicts seq.json dpor.json
+//! c11bench verdicts seq.json source.json
 //! ```
 //!
 //! Both subcommands are plain-file, offline tools: `compare` reads the

@@ -67,11 +67,11 @@ pub trait MemoryModel {
     /// enabled action steps (by *different* threads) be executed in
     /// either order from `state`, reaching the same canonical state with
     /// neither step changing the set of concrete transitions enabled for
-    /// the other? `true` lets the DPOR engine prune one of the two
+    /// the other? `true` lets the source-set engine prune one of the two
     /// orders; a wrong `true` loses states, so the default is the
-    /// maximally conservative `false` (the DPOR backend then degenerates
-    /// to the plain BFS, which is always sound). Implementations must be
-    /// symmetric in `a`/`b`.
+    /// maximally conservative `false` (the reduction then degenerates
+    /// to exploring every order, which is always sound). Implementations
+    /// must be symmetric in `a`/`b`.
     fn actions_independent(
         &self,
         _state: &Self::State,

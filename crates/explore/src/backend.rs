@@ -6,14 +6,11 @@
 //! [`ExploreResult`]. The request surface selects a backend along two
 //! orthogonal axes — an [`Engine`] (who does the walking: the sequential
 //! reference or the parallel engine) × a [`Reduction`] (how much of the
-//! state space the walk may skip: none, sleep sets, or the finals-only
-//! source sets) — combined into the pool-friendly [`AnyBackend`] handle.
-//! The concrete implementations are [`SequentialBackend`],
-//! [`ParallelBackend`], the sleep-set engine [`DporBackend`]
-//! (see [`crate::dpor`]) and the source-set engine [`SourceSetBackend`]
-//! (see [`crate::source`]).
+//! state space the walk may skip: none, or the finals-only source sets)
+//! — combined into the pool-friendly [`AnyBackend`] handle. The concrete
+//! implementations are [`SequentialBackend`], [`ParallelBackend`] and
+//! the source-set engine [`SourceSetBackend`] (see [`crate::source`]).
 
-use crate::dpor::explore_dpor_invariant;
 use crate::engine::{explore_invariant_with, ExploreConfig, ExploreResult};
 use crate::par::parallel_explore_invariant;
 use crate::source::explore_source_invariant;
@@ -104,30 +101,6 @@ where
     }
 }
 
-/// The sleep-set DPOR engine (see [`crate::dpor`]): visits exactly the
-/// sequential engine's states — identical finals, verdicts, violations,
-/// truncation — while generating strictly fewer successor configurations
-/// wherever the model's independence oracle lets siblings sleep. Always
-/// deduplicates (the sleep sets live in the visited table).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DporBackend;
-
-impl<M: MemoryModel> ExploreBackend<M> for DporBackend {
-    fn name(&self) -> String {
-        "dpor".to_string()
-    }
-
-    fn run_invariant(
-        &self,
-        model: &M,
-        prog: &Prog,
-        cfg: &ExploreConfig,
-        inv: &(dyn Fn(&Config<M>) -> bool + Sync),
-    ) -> ExploreResult<M> {
-        explore_dpor_invariant(model, prog, cfg, |c| inv(c))
-    }
-}
-
 /// The source-set DPOR engine (see [`crate::source`]): explores one
 /// execution per Mazurkiewicz trace under the **finals-only contract** —
 /// finals (by fingerprint multiset), litmus verdicts, violations on the
@@ -189,21 +162,17 @@ impl Engine {
 
 /// How much of the state space the walk may skip.
 ///
-/// `None` and `SleepSet` preserve the full exhaustive contract (identical
-/// states, finals, verdicts, violations); `SourceSet` trades the
-/// intermediate states away under the finals-only contract (see
-/// [`SourceSetBackend`]). The reductions run on the sequential engine —
-/// combining them with [`Engine::Parallel`] is rejected at the request
-/// layer (`c11_api`); this handle, which must stay total, runs the
-/// reduction sequentially.
+/// `None` keeps the full exhaustive contract (every state, finals,
+/// verdicts, violations); `SourceSet` trades the intermediate states
+/// away under the finals-only contract (see [`SourceSetBackend`]). The
+/// reduction runs on the sequential engine — combining it with
+/// [`Engine::Parallel`] is rejected at the request layer (`c11_api`);
+/// this handle, which must stay total, runs the reduction sequentially.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Reduction {
     /// No reduction: visit every reachable configuration.
     #[default]
     None,
-    /// Sleep-set DPOR ([`DporBackend`]): same states, fewer generated
-    /// transitions.
-    SleepSet,
     /// Source-set DPOR ([`SourceSetBackend`]): one execution per trace,
     /// finals-only contract.
     SourceSet,
@@ -211,7 +180,7 @@ pub enum Reduction {
 
 impl Reduction {
     /// Every reduction, in CLI order.
-    pub const ALL: [Reduction; 3] = [Reduction::None, Reduction::SleepSet, Reduction::SourceSet];
+    pub const ALL: [Reduction; 2] = [Reduction::None, Reduction::SourceSet];
 
     /// Parses a canonical spelling (the inverse of
     /// [`Reduction::kind_str`]).
@@ -219,21 +188,19 @@ impl Reduction {
         Reduction::ALL.into_iter().find(|r| r.kind_str() == s)
     }
 
-    /// The canonical spelling (`"none"`, `"sleep-set"`, `"source-set"`).
+    /// The canonical spelling (`"none"`, `"source-set"`).
     pub fn kind_str(&self) -> &'static str {
         match self {
             Reduction::None => "none",
-            Reduction::SleepSet => "sleep-set",
             Reduction::SourceSet => "source-set",
         }
     }
 
     /// The report contract this reduction upholds: `"exhaustive"` for
-    /// reductions whose reports are identical to the sequential
-    /// engine's, `"finals-only"` for the source-set reduction.
+    /// no reduction, `"finals-only"` for the source-set reduction.
     pub fn contract_str(&self) -> &'static str {
         match self {
-            Reduction::None | Reduction::SleepSet => "exhaustive",
+            Reduction::None => "exhaustive",
             Reduction::SourceSet => "finals-only",
         }
     }
@@ -268,14 +235,6 @@ impl AnyBackend {
         AnyBackend {
             engine: Engine::Parallel { workers },
             reduction: Reduction::None,
-        }
-    }
-
-    /// The sleep-set DPOR engine (sequential).
-    pub fn sleep_set() -> AnyBackend {
-        AnyBackend {
-            engine: Engine::Sequential,
-            reduction: Reduction::SleepSet,
         }
     }
 
@@ -319,9 +278,8 @@ where
             (Engine::Parallel { workers }, Reduction::None) => {
                 ParallelBackend::new(workers).run_invariant(model, prog, cfg, inv)
             }
-            // Reductions run on the sequential engine (the request
+            // The reduction runs on the sequential engine (the request
             // layer rejects Parallel × reduction before it gets here).
-            (_, Reduction::SleepSet) => DporBackend.run_invariant(model, prog, cfg, inv),
             (_, Reduction::SourceSet) => SourceSetBackend.run_invariant(model, prog, cfg, inv),
         }
     }
@@ -346,7 +304,6 @@ mod tests {
         let backends: Vec<Box<dyn ExploreBackend<RaModel>>> = vec![
             Box::new(SequentialBackend),
             Box::new(ParallelBackend::new(2)),
-            Box::new(DporBackend),
         ];
         // SourceSetBackend is exercised separately: it keeps finals and
         // verdicts but intentionally not `unique`.
@@ -377,11 +334,7 @@ mod tests {
         .unwrap();
         let cfg = ExploreConfig::default();
         let reference = SequentialBackend.run(&RaModel, &prog, &cfg);
-        for handle in [
-            AnyBackend::sequential(),
-            AnyBackend::parallel(2),
-            AnyBackend::sleep_set(),
-        ] {
+        for handle in [AnyBackend::sequential(), AnyBackend::parallel(2)] {
             // One Copy handle serves RA and SC without re-construction —
             // the property the session scheduler relies on.
             let ra = handle.run(&RaModel, &prog, &cfg);
@@ -410,6 +363,7 @@ mod tests {
         }
         assert_eq!(Engine::parse("dpor"), None);
         assert_eq!(Reduction::parse("dpor"), None);
+        assert_eq!(Reduction::parse("sleep-set"), None);
     }
 
     #[test]
@@ -422,14 +376,9 @@ mod tests {
             ExploreBackend::<RaModel>::name(&ParallelBackend::new(4)),
             "parallel(4)"
         );
-        assert_eq!(ExploreBackend::<RaModel>::name(&DporBackend), "dpor");
         assert_eq!(
             ExploreBackend::<RaModel>::name(&SourceSetBackend),
             "source-set"
-        );
-        assert_eq!(
-            ExploreBackend::<RaModel>::name(&AnyBackend::sleep_set()),
-            "sequential+sleep-set"
         );
         assert_eq!(
             ExploreBackend::<RaModel>::name(&AnyBackend::source_set()),

@@ -185,7 +185,7 @@ pub fn render_trace(trace: &[TraceStep], prog: &Prog) -> String {
 }
 
 /// Parent-pointer arena for violation/witness trace reconstruction,
-/// shared by the sequential and DPOR engines (the parallel engine keeps
+/// shared by the sequential and source-set engines (the parallel engine keeps
 /// its own cross-worker variant in [`crate::par`]). Starts with the root
 /// node ([`TraceArena::ROOT`]) already in place.
 pub(crate) struct TraceArena {

@@ -13,17 +13,15 @@
 //! (E6), the completeness construction (E7), the Peterson verification
 //! (E11) and the benchmark baselines (E13).
 //!
-//! Four engines implement the [`ExploreBackend`] contract, selected
+//! Three engines implement the [`ExploreBackend`] contract, selected
 //! along two orthogonal axes ([`Engine`] × [`Reduction`]): the
 //! sequential BFS reference, the contention-free parallel engine
-//! ([`par`]), the sleep-set dynamic-partial-order-reduction engine
-//! ([`dpor`]) that visits the same states through fewer transitions,
-//! and the source-set engine ([`source`]) that explores one execution
-//! per Mazurkiewicz trace under the finals-only contract.
+//! ([`par`]), and the source-set dynamic-partial-order-reduction engine
+//! ([`source`]) that explores one execution per Mazurkiewicz trace
+//! under the finals-only contract.
 
 pub mod backend;
 pub mod budget;
-pub mod dpor;
 pub mod engine;
 pub mod par;
 pub mod source;
@@ -31,12 +29,11 @@ pub mod stats;
 pub mod sym;
 
 pub use backend::{
-    AnyBackend, DporBackend, Engine, ExploreBackend, ParallelBackend, Reduction, SequentialBackend,
+    AnyBackend, Engine, ExploreBackend, ParallelBackend, Reduction, SequentialBackend,
     SourceSetBackend,
 };
 pub use budget::{Budget, Interrupt};
 pub use c11_store::{StoreKind, StoreStats};
-pub use dpor::{explore_dpor, explore_dpor_invariant};
 pub use engine::{
     explore_invariant_with, render_trace, ExploreConfig, ExploreResult, Explorer, RegSnapshot,
     TraceStep,

@@ -18,11 +18,10 @@
 //! - **The visited set is split in two.** A worker-private `HashSet`
 //!   answers "did *I* already generate this fingerprint" without any
 //!   sharing; only on a local miss does the worker consult the global
-//!   [`ConcurrentStore`] (from `c11-store`) — for the flat and symmetry
-//!   store kinds that is the striped open-addressed table whose inserts
-//!   are lock-free CAS claims (the per-stripe `RwLock` is only taken
-//!   exclusively to grow the table), for the hash-consed kind a striped
-//!   mutex over paged stores. The store is the linearizable authority:
+//!   [`CasFilter`] (from `c11-store`): a striped open-addressed table
+//!   whose inserts are lock-free CAS claims (the per-stripe `RwLock` is
+//!   only taken exclusively to grow the table), for the flat and
+//!   symmetry store kinds alike. The filter is the linearizable authority:
 //!   exactly one worker wins each fingerprint, so the
 //!   all-backends-identical-reports contract survives arbitrary
 //!   interleavings.
@@ -43,8 +42,8 @@ use crate::sym::{sym_fingerprint, SymClasses};
 use c11_core::config::Config;
 use c11_core::model::MemoryModel;
 use c11_lang::Prog;
-use c11_store::concurrent::ConcurrentStore;
-use c11_store::StoreStats;
+use c11_store::concurrent::CasFilter;
+use c11_store::{StoreKind, StoreStats};
 use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -96,7 +95,7 @@ struct WorkerOut<M: MemoryModel> {
 /// `unique` feeds the racy-bounded `max_states` check, `in_flight` drives
 /// termination detection.
 struct Shared<M: MemoryModel> {
-    filter: ConcurrentStore,
+    filter: CasFilter,
     /// Donated work, one `Vec` per donation. Locked once per chunk, not
     /// per item.
     injector: Mutex<VecDeque<Vec<Item<M>>>>,
@@ -125,6 +124,13 @@ struct Shared<M: MemoryModel> {
     /// invariant surfaces as exactly one panic instead of stranding
     /// sibling workers (they observe `abort` and drain).
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+}
+
+/// The filter's accounting under the run's store labels: a
+/// symmetry-keyed run reports the `sym` kind whichever store it named.
+fn store_stats(filter: &CasFilter, cfg: &ExploreConfig, sym_on: bool) -> Option<StoreStats> {
+    let kind = if sym_on { StoreKind::Sym } else { cfg.store };
+    Some(filter.stats(kind, sym_on))
 }
 
 /// Records a budget trip and tells every worker to stop.
@@ -226,10 +232,7 @@ where
             truncated: false,
             stuck: 0,
             interrupted: None,
-            store_stats: Some(StoreStats {
-                sym: sym_on,
-                ..ConcurrentStore::new(cfg.store, sym_on).stats()
-            }),
+            store_stats: store_stats(&CasFilter::new(), cfg, sym_on),
             sym_classes: sym_on.then_some(classes),
         };
     }
@@ -252,10 +255,7 @@ where
                 },
                 stuck: 0,
                 interrupted: Some(why),
-                store_stats: Some(StoreStats {
-                    sym: sym_on,
-                    ..ConcurrentStore::new(cfg.store, sym_on).stats()
-                }),
+                store_stats: store_stats(&CasFilter::new(), cfg, sym_on),
                 sym_classes: sym_on.then_some(classes),
             };
         }
@@ -272,7 +272,7 @@ where
     };
 
     let shared: Shared<M> = Shared {
-        filter: ConcurrentStore::new(cfg.store, sym_on),
+        filter: CasFilter::new(),
         injector: Mutex::new(VecDeque::new()),
         injector_len: AtomicUsize::new(0),
         hungry: AtomicUsize::new(0),
@@ -526,10 +526,7 @@ where
             2 => Some(Interrupt::Cancelled),
             _ => None,
         },
-        store_stats: Some(StoreStats {
-            sym: sym_on,
-            ..shared.filter.stats()
-        }),
+        store_stats: store_stats(&shared.filter, cfg, sym_on),
         sym_classes: sym_on.then_some(classes),
     }
 }

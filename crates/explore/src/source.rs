@@ -1,8 +1,6 @@
 //! Source-set dynamic partial-order reduction — the finals-only engine.
 //!
-//! The sleep-set engine in [`crate::dpor`] deliberately visits the
-//! sequential engine's exact state set and only prunes redundant
-//! *transitions* (10–17 % of `generated` on the bench shapes). This
+//! The exhaustive engines visit every reachable configuration. This
 //! engine prunes *states*: it is a stateless depth-first search over
 //! execution sequences in the style of source-set DPOR with wakeup
 //! sequences (Abdulla, Aronis, Jonsson, Sagonas — "Source Sets: A
@@ -22,7 +20,7 @@
 //! *intermediate* states: `unique` and `generated` are intentionally
 //! smaller, and an invariant over transient states may be checked on
 //! fewer configurations than the exhaustive engines visit (the api crate
-//! therefore routes `Mode::Invariant` requests to the sleep-set engine
+//! therefore runs `Mode::Invariant` requests without a reduction
 //! instead — see `c11_api`). That trade is the `"finals-only"` reduction
 //! contract surfaced in the `c11check/v1` schema.
 //!
@@ -48,11 +46,14 @@
 //!   sequences force their tail through descendant frames, which is what
 //!   keeps reversed branches from being re-pruned by their sleep sets.
 //! * **Sleep sets are inherited** down the stack, filtered through the
-//!   same independence oracle and event-growth guard as the sleep-set
-//!   engine ([`MemoryModel::actions_independent`]; τ never sleeps an
-//!   action). A wakeup sequence whose head is asleep is dropped — the
-//!   trace it would re-derive is covered by the branch that put the
-//!   thread to sleep.
+//!   model's independence oracle ([`MemoryModel::actions_independent`])
+//!   and an event-growth guard: a step may only be put to sleep by a
+//!   step that grows the memory state at least as much, so τ never
+//!   sleeps an action (otherwise the `max_events` bound could cut the
+//!   covering action-first path while the τ-first state survives it).
+//!   A wakeup sequence whose head is asleep is dropped — the trace it
+//!   would re-derive is covered by the branch that put the thread to
+//!   sleep.
 //!
 //! Reads with several observable writes fan out below one thread choice:
 //! the value branching is data nondeterminism *within* the event, every
@@ -85,9 +86,9 @@
 //!
 //! Programs wider than the 64-bit thread masks fall back to the
 //! sequential engine (sound, no reduction), and symmetry quotienting is
-//! ignored here — the quotient's orbit merging invalidates the covering
-//! argument, the same reason the sleep-set engine disables its masks
-//! under symmetric keying.
+//! ignored here — the quotient's orbit merging can merge a slept
+//! thread's covering target into an orbit representative reached some
+//! other way, which invalidates the covering argument.
 
 use crate::engine::{
     config_fingerprint, explore_invariant_with, ExploreConfig, ExploreResult, TraceArena, TraceStep,
@@ -100,7 +101,73 @@ use c11_store::{AnyStore, StoreStats, VisitedStore};
 use std::collections::VecDeque;
 use std::collections::{HashMap, HashSet};
 
-use crate::dpor::{bit, successor_sleep, SleepMask};
+/// Sleep sets are thread-id bitmasks (bit `i` = thread `i + 1`). Programs
+/// wider than 64 threads fall back to the sequential engine.
+type SleepMask = u64;
+
+/// The mask bit of thread index `t`; 0 past the mask width (so the
+/// >64-thread fallback never evaluates an overflowing shift).
+fn bit(t: usize) -> SleepMask {
+    if t < SleepMask::BITS as usize {
+        1 << t
+    } else {
+        0
+    }
+}
+
+/// How much a step grows the memory state: 0 for τ, 1 for actions. The
+/// event-growth guard compares these (see the module docs).
+fn growth(shape: &StepShape) -> u8 {
+    match shape {
+        StepShape::Tau => 0,
+        StepShape::Act(_) => 1,
+    }
+}
+
+/// May thread `u`'s enabled step be put to sleep across thread `t`'s
+/// step? — the per-state race check: independence (τ is free; actions go
+/// to the model's oracle) plus the event-growth guard.
+fn can_sleep<M: MemoryModel>(
+    model: &M,
+    mem: &M::State,
+    shapes: &[Option<StepShape>],
+    u: usize,
+    t: usize,
+) -> bool {
+    let (Some(su), Some(st)) = (&shapes[u], &shapes[t]) else {
+        return false;
+    };
+    if growth(su) > growth(st) {
+        return false;
+    }
+    match (su, st) {
+        (StepShape::Tau, _) | (_, StepShape::Tau) => true,
+        (StepShape::Act(a), StepShape::Act(b)) => {
+            model.actions_independent(mem, (ThreadId(u as u8 + 1), a), (ThreadId(t as u8 + 1), b))
+        }
+    }
+}
+
+/// The sleep set carried to the successor reached by thread `t`: every
+/// sibling already explored at this state that may sleep across `t`.
+fn successor_sleep<M: MemoryModel>(
+    model: &M,
+    mem: &M::State,
+    shapes: &[Option<StepShape>],
+    explored: SleepMask,
+    t: usize,
+) -> SleepMask {
+    let mut out = 0;
+    let mut rest = explored;
+    while rest != 0 {
+        let u = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        if can_sleep(model, mem, shapes, u, t) {
+            out |= 1 << u;
+        }
+    }
+    out
+}
 
 /// One executed action event on the current path, with its
 /// happens-before clock (clock[t] = highest per-thread index of thread
@@ -808,10 +875,9 @@ fn clock_and_races<M: MemoryModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dpor::explore_dpor;
     use crate::engine::{Explorer, RegSnapshot};
     use c11_core::model::{RaModel, ScModel};
-    use c11_lang::parse_program;
+    use c11_lang::{parse_program, VarId};
     use std::collections::HashMap;
 
     fn multiset(snaps: Vec<RegSnapshot>) -> HashMap<RegSnapshot, usize> {
@@ -836,6 +902,116 @@ mod tests {
         assert!(
             !src.truncated || seq.truncated,
             "{what}: source truncation must imply sequential truncation"
+        );
+    }
+
+    /// Race detection on a hand-built two-thread state: t1 about to write
+    /// x, t2 about to read y — independent; same variable — dependent.
+    #[test]
+    fn race_detection_on_hand_built_state() {
+        let prog = parse_program(
+            "vars x y;
+             thread t1 { x := 1; }
+             thread t2 { r0 <- y; }",
+        )
+        .unwrap();
+        let cfg = Config::initial(&RaModel, &prog);
+        let shapes: Vec<Option<StepShape>> =
+            cfg.thread_ids().map(|t| cfg.step_shape_of(t)).collect();
+        assert!(matches!(
+            shapes[0],
+            Some(StepShape::Act(ActionShape::Write { var: VarId(0), .. }))
+        ));
+        assert!(matches!(
+            shapes[1],
+            Some(StepShape::Act(ActionShape::Read { var: VarId(1), .. }))
+        ));
+        // Disjoint variables: each may sleep across the other.
+        assert!(can_sleep(&RaModel, &cfg.mem, &shapes, 0, 1));
+        assert!(can_sleep(&RaModel, &cfg.mem, &shapes, 1, 0));
+
+        let contended = parse_program(
+            "vars x;
+             thread t1 { x := 1; }
+             thread t2 { r0 <- x; }",
+        )
+        .unwrap();
+        let cfg = Config::initial(&RaModel, &contended);
+        let shapes: Vec<Option<StepShape>> =
+            cfg.thread_ids().map(|t| cfg.step_shape_of(t)).collect();
+        // Write/read of the same variable race: no sleeping either way.
+        assert!(!can_sleep(&RaModel, &cfg.mem, &shapes, 0, 1));
+        assert!(!can_sleep(&RaModel, &cfg.mem, &shapes, 1, 0));
+    }
+
+    /// The event-growth guard: a τ may sleep across an action, never the
+    /// other way around (and τ/τ is fine).
+    #[test]
+    fn tau_sleeps_across_actions_but_not_conversely() {
+        // After its write, t1's next step is the skip-consumption τ.
+        let prog = parse_program(
+            "vars x y;
+             thread t1 { x := 1; x := 2; }
+             thread t2 { y := 1; }",
+        )
+        .unwrap();
+        let cfg = Config::initial(&RaModel, &prog);
+        let after_w1 = cfg
+            .successors_of(&RaModel, ThreadId(1))
+            .into_iter()
+            .next()
+            .unwrap()
+            .next;
+        let shapes: Vec<Option<StepShape>> = after_w1
+            .thread_ids()
+            .map(|t| after_w1.step_shape_of(t))
+            .collect();
+        assert!(matches!(shapes[0], Some(StepShape::Tau)));
+        assert!(matches!(shapes[1], Some(StepShape::Act(_))));
+        assert!(can_sleep(&RaModel, &after_w1.mem, &shapes, 0, 1), "τ ← act");
+        assert!(
+            !can_sleep(&RaModel, &after_w1.mem, &shapes, 1, 0),
+            "act ← τ is forbidden by the growth guard"
+        );
+        assert!(can_sleep(&RaModel, &after_w1.mem, &shapes, 0, 0), "τ ← τ");
+    }
+
+    #[test]
+    fn successor_sleep_filters_by_independence() {
+        let prog = parse_program(
+            "vars x y z;
+             thread t1 { x := 1; }
+             thread t2 { y := 1; }
+             thread t3 { z := 1; r0 <- y; }",
+        )
+        .unwrap();
+        let cfg = Config::initial(&RaModel, &prog);
+        let shapes: Vec<Option<StepShape>> =
+            cfg.thread_ids().map(|t| cfg.step_shape_of(t)).collect();
+        // t1 and t2 both explored; stepping t3 (write z) sleeps both.
+        assert_eq!(
+            successor_sleep(&RaModel, &cfg.mem, &shapes, 0b011, 2),
+            0b011
+        );
+        // Advance t3 to its read of y: an explored t2 (write y) races it.
+        let mut c = cfg
+            .successors_of(&RaModel, ThreadId(3))
+            .into_iter()
+            .next()
+            .unwrap()
+            .next;
+        while matches!(c.step_shape_of(ThreadId(3)), Some(StepShape::Tau)) {
+            c = c.successors_of(&RaModel, ThreadId(3)).remove(0).next;
+        }
+        let shapes: Vec<Option<StepShape>> = c.thread_ids().map(|t| c.step_shape_of(t)).collect();
+        assert!(matches!(
+            shapes[2],
+            Some(StepShape::Act(ActionShape::Read { var: VarId(1), .. }))
+        ));
+        assert_eq!(
+            successor_sleep(&RaModel, &c.mem, &shapes, 0b011, 2),
+            0b001,
+            "t2 races the read of y and stays awake; t1 sleeps"
         );
     }
 
@@ -871,16 +1047,15 @@ mod tests {
         let cfg = ExploreConfig::default();
         assert_finals_match(&prog, &cfg, "contended");
         let seq = Explorer::new(RaModel).explore(&prog, cfg.clone());
-        let dpor = explore_dpor(&RaModel, &prog, &cfg);
         let res = explore_source(&RaModel, &prog, &cfg);
         // All six write interleavings are inequivalent and must all be
         // found (C(4,2) orders of mo).
         assert_eq!(res.finals.len(), seq.finals.len());
         assert!(
-            res.generated < dpor.generated,
-            "source-set beats sleep-set on the contended shape ({} vs {})",
+            res.generated < seq.generated,
+            "source-set beats the exhaustive walk on the contended shape ({} vs {})",
             res.generated,
-            dpor.generated
+            seq.generated
         );
     }
 

@@ -1,23 +1,20 @@
-//! Concurrent visited stores for the parallel engine.
+//! The concurrent visited store of the parallel engine.
 //!
 //! [`CasFilter`] is the striped lock-free CAS-claim membership filter the
 //! parallel engine has used since it went contention-free: inserts are
 //! plain CAS races under a shared stripe guard, the per-stripe `RwLock`
 //! is only taken exclusively to double a stripe. It serves both the
 //! flat and the symmetry store kinds — symmetry lives in the *key* the
-//! engine computes, not in the storage.
-//!
-//! [`ConcurrentStore`] dispatches between that fast path and a striped
-//! mutex wrapping of [`SharedStore`] pages for the hash-consed kind,
-//! and reports the same [`StoreStats`] as the sequential stores.
+//! engine computes, not in the storage — and reports the same
+//! [`StoreStats`] as the sequential stores.
 
-use crate::{SharedStore, StoreKind, StoreStats, VisitedStore};
-use parking_lot::{Mutex, RwLock};
+use crate::{StoreKind, StoreStats};
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Stripes of the global filter. More stripes than workers keeps the
 /// probability of two workers growing the same stripe at once low.
-pub const FILTER_SHARDS: usize = 32;
+const FILTER_SHARDS: usize = 32;
 
 /// Initial slots per stripe (power of two; grows by doubling).
 const FILTER_INITIAL_SLOTS: usize = 32;
@@ -30,7 +27,7 @@ const SLOT_CLAIMED: u64 = 1;
 /// Stripe selector: one fixed-seed FNV-1a pass over the 16 key bytes. The
 /// key is already a fingerprint, but its low bits feed the slot probing —
 /// folding all 128 bits keeps stripe choice independent of it.
-pub fn shard_of(key: u128) -> usize {
+fn shard_of(key: u128) -> usize {
     let mut fnv: u64 = 0xcbf29ce484222325;
     for b in key.to_le_bytes() {
         fnv ^= b as u64;
@@ -168,7 +165,7 @@ impl Table {
 /// Keeps each stripe's lock word on its own cache line so readers of
 /// neighbouring stripes don't false-share.
 #[repr(align(64))]
-pub struct Padded<T>(pub T);
+struct Padded<T>(T);
 
 /// The striped lock-free membership filter: `FILTER_SHARDS`
 /// independently grown tables. `insert` is the linearization point of
@@ -236,7 +233,9 @@ impl CasFilter {
         self.len() == 0
     }
 
-    fn stats(&self, kind: StoreKind, sym: bool) -> StoreStats {
+    /// The filter's accounting snapshot (stripes summed), labelled with
+    /// the store kind and symmetry flag the engine ran under.
+    pub fn stats(&self, kind: StoreKind, sym: bool) -> StoreStats {
         let bytes = std::mem::size_of::<Self>()
             + self
                 .shards
@@ -263,91 +262,6 @@ fn grow(shard: &RwLock<Table>, seen_cap: usize) {
     let bigger = Table::new(guard.slots.len() * 2);
     guard.rehash_into(&bigger);
     *guard = bigger;
-}
-
-/// The parallel engine's visited store: the lock-free CAS filter for
-/// the flat and symmetry kinds (the CAS-claim fast path is preserved —
-/// symmetry changes only the key fed in), or striped mutexes over
-/// [`SharedStore`] shards for the hash-consed kind.
-pub enum ConcurrentStore {
-    /// Lock-free CAS-claim filter (flat or symmetry-keyed).
-    Cas { filter: CasFilter, sym: bool },
-    /// Striped paged store: `FILTER_SHARDS` independently locked
-    /// [`SharedStore`]s, sharded by [`shard_of`].
-    Striped(Vec<Padded<Mutex<SharedStore>>>),
-}
-
-impl ConcurrentStore {
-    /// An empty concurrent store of the given kind. `sym` records
-    /// whether the engine feeds symmetry-canonicalised keys (it rides
-    /// into the stats; storage is unaffected).
-    pub fn new(kind: StoreKind, sym: bool) -> ConcurrentStore {
-        match kind {
-            StoreKind::Flat | StoreKind::Sym => ConcurrentStore::Cas {
-                filter: CasFilter::new(),
-                sym: sym || kind == StoreKind::Sym,
-            },
-            StoreKind::Shared => ConcurrentStore::Striped(
-                (0..FILTER_SHARDS)
-                    .map(|_| Padded(Mutex::new(SharedStore::new())))
-                    .collect(),
-            ),
-        }
-    }
-
-    /// Inserts the fingerprint; `true` iff it was fresh. The
-    /// linearization point of state discovery for the parallel engine.
-    pub fn insert(&self, key: u128) -> bool {
-        match self {
-            ConcurrentStore::Cas { filter, .. } => filter.insert(key),
-            ConcurrentStore::Striped(shards) => shards[shard_of(key)].0.lock().insert(key),
-        }
-    }
-
-    /// Number of distinct keys stored. Exact after workers quiesce.
-    pub fn len(&self) -> usize {
-        match self {
-            ConcurrentStore::Cas { filter, .. } => filter.len(),
-            ConcurrentStore::Striped(shards) => {
-                shards.iter().map(|s| VisitedStore::len(&*s.0.lock())).sum()
-            }
-        }
-    }
-
-    /// `true` iff no key is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The store's accounting snapshot (stripes summed).
-    pub fn stats(&self) -> StoreStats {
-        match self {
-            ConcurrentStore::Cas { filter, sym } => {
-                let kind = if *sym {
-                    StoreKind::Sym
-                } else {
-                    StoreKind::Flat
-                };
-                filter.stats(kind, *sym)
-            }
-            ConcurrentStore::Striped(shards) => {
-                let mut total = StoreStats {
-                    kind: StoreKind::Shared,
-                    sym: false,
-                    bytes_resident: std::mem::size_of::<Self>(),
-                    nodes: 0,
-                    dedup_hits: 0,
-                };
-                for s in shards {
-                    let st = s.0.lock().stats();
-                    total.bytes_resident += st.bytes_resident;
-                    total.nodes += st.nodes;
-                    total.dedup_hits += st.dedup_hits;
-                }
-                total
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -419,55 +333,5 @@ mod tests {
             distinct as usize,
             "each distinct key must be claimed exactly once"
         );
-    }
-
-    #[test]
-    fn striped_shared_store_is_safe_under_concurrent_insertion() {
-        // Satellite: SharedStore membership equivalence under concurrent
-        // inserts at 4 workers — the striped form must claim each
-        // distinct key exactly once, like the CAS filter.
-        let store = ConcurrentStore::new(StoreKind::Shared, false);
-        let fresh = AtomicUsize::new(0);
-        let distinct = 4_096u128;
-        crossbeam::scope(|scope| {
-            for t in 0..4u128 {
-                let store = &store;
-                let fresh = &fresh;
-                scope.spawn(move |_| {
-                    for i in 0..distinct {
-                        let key = ((i + t * distinct / 2) % distinct)
-                            .wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835);
-                        if store.insert(key) {
-                            fresh.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(fresh.load(Ordering::Relaxed), distinct as usize);
-        assert_eq!(store.len(), distinct as usize);
-        let stats = store.stats();
-        assert_eq!(stats.kind, StoreKind::Shared);
-        assert!(stats.nodes > FILTER_SHARDS, "shards must have split pages");
-    }
-
-    #[test]
-    fn concurrent_kinds_report_their_stats() {
-        let flat = ConcurrentStore::new(StoreKind::Flat, false);
-        flat.insert(42);
-        assert_eq!(flat.stats().kind, StoreKind::Flat);
-        assert!(!flat.stats().sym);
-
-        let sym = ConcurrentStore::new(StoreKind::Sym, false);
-        sym.insert(42);
-        assert_eq!(sym.stats().kind, StoreKind::Sym);
-        assert!(sym.stats().sym);
-
-        // Flat storage with symmetry-canonical keys still reports sym.
-        let flat_sym = ConcurrentStore::new(StoreKind::Flat, true);
-        flat_sym.insert(42);
-        assert!(flat_sym.stats().sym);
-        assert_eq!(flat_sym.stats().kind, StoreKind::Sym);
     }
 }

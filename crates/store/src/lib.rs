@@ -3,7 +3,7 @@
 //! Every engine deduplicates on 128-bit canonical state fingerprints.
 //! Where those fingerprints *live* used to be hard-wired as a flat
 //! `HashSet<u128>` per engine; this crate owns that decision behind the
-//! [`VisitedStore`] trait, with three implementations:
+//! [`VisitedStore`] trait, with two implementations:
 //!
 //! * [`FlatStore`] — the extracted flat fingerprint set (the default;
 //!   byte-for-byte the behaviour every engine had before this crate).
@@ -14,20 +14,13 @@
 //!   entry. This store is the flat set re-labelled to report
 //!   `kind = "sym"` in its stats — keeping key computation out of the
 //!   store keeps the store model-agnostic.
-//! * [`SharedStore`] — a hash-consed radix structure over fingerprint
-//!   chunks: an extendible directory indexed by the key's top bits whose
-//!   slots share arena-allocated sorted pages until a split
-//!   differentiates them (the node-sharing that makes the directory
-//!   cheap), with exact byte accounting.
 //!
-//! All three report [`StoreStats`] — resident bytes, node and
-//! dedup-hit counters — surfaced through the explore crate's `Stats`
-//! and the `c11check/v1` JSON `"store"` block.
+//! Both report [`StoreStats`] — resident bytes and dedup-hit counters —
+//! surfaced through the explore crate's `Stats` and the `c11check/v1`
+//! JSON `"store"` block.
 //!
-//! The [`concurrent`] module hosts the striped concurrent forms the
-//! parallel engine uses (the lock-free CAS-claim filter for flat/sym
-//! keys, striped mutexes over [`SharedStore`] pages for the shared
-//! kind).
+//! The [`concurrent`] module hosts the lock-free CAS-claim filter the
+//! parallel engine uses for both kinds.
 
 pub mod concurrent;
 
@@ -35,7 +28,7 @@ use std::collections::HashSet;
 
 /// Which visited-store implementation a run uses. The engines thread
 /// this through `ExploreConfig`; services accept it as
-/// `--store flat|sym|shared`.
+/// `--store flat|sym`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum StoreKind {
     /// The flat fingerprint `HashSet` (the reference behaviour).
@@ -46,31 +39,23 @@ pub enum StoreKind {
     /// programs. Opt-in — `unique`/`generated` legitimately differ from
     /// the flat run; verdicts and canonicalised outcomes do not.
     Sym,
-    /// The hash-consed paged store with exact memory accounting.
-    Shared,
 }
 
 impl StoreKind {
     /// Every kind, in CLI order.
-    pub const ALL: [StoreKind; 3] = [StoreKind::Flat, StoreKind::Sym, StoreKind::Shared];
+    pub const ALL: [StoreKind; 2] = [StoreKind::Flat, StoreKind::Sym];
 
     /// The CLI / JSON name.
     pub fn name(&self) -> &'static str {
         match self {
             StoreKind::Flat => "flat",
             StoreKind::Sym => "sym",
-            StoreKind::Shared => "shared",
         }
     }
 
-    /// Parses a CLI / JSON name.
+    /// Parses a CLI / JSON name (the inverse of [`StoreKind::name`]).
     pub fn parse(s: &str) -> Option<StoreKind> {
-        match s {
-            "flat" => Some(StoreKind::Flat),
-            "sym" => Some(StoreKind::Sym),
-            "shared" => Some(StoreKind::Shared),
-            _ => None,
-        }
+        StoreKind::ALL.into_iter().find(|k| k.name() == s)
     }
 }
 
@@ -82,11 +67,12 @@ pub struct StoreStats {
     /// Were keys symmetry-canonicalised? (True for [`StoreKind::Sym`],
     /// and for any kind when the explicit `symmetry` knob was on.)
     pub sym: bool,
-    /// Exact bytes resident in the store's own structures (directory,
-    /// pages, buckets) — not including the transient key being probed.
+    /// Exact bytes resident in the store's own structures (buckets,
+    /// stripes) — not including the transient key being probed.
     pub bytes_resident: usize,
-    /// Interior nodes (arena pages for [`SharedStore`]; 0 for the flat
-    /// set, whose table is one allocation).
+    /// Interior nodes. Always 0: both stores are single tables. Kept
+    /// because the `"store"` block of the `c11check/v1` schema (and
+    /// every persisted snapshot) carries it.
     pub nodes: usize,
     /// Inserts that found their key already present.
     pub dedup_hits: usize,
@@ -211,191 +197,16 @@ impl VisitedStore for SymmetryStore {
     }
 }
 
-// ---- SharedStore --------------------------------------------------------
-
-/// Split threshold for a page. Small enough that a split's two halves
-/// plus slack stay cache-friendly; large enough that the directory stays
-/// a few percent of the data.
-const PAGE_CAP: usize = 32;
-
-/// Page growth slab: key capacity is reserved in steps of this many
-/// entries, keeping the worst-case fill ≥ `(PAGE_CAP/2) / (PAGE_CAP/2 +
-/// PAGE_SLAB)` instead of the ×2 doubling a plain `Vec` would do.
-const PAGE_SLAB: usize = 4;
-
-/// One arena page: a sorted run of full fingerprints plus the number of
-/// directory bits that routed keys here. Pages with `local_depth` below
-/// the directory's global depth are *shared* by several directory slots
-/// — the hash-consing that keeps a freshly doubled directory free.
-#[derive(Debug)]
-struct Page {
-    local_depth: u32,
-    keys: Vec<u128>,
-}
-
-impl Page {
-    fn bytes(&self) -> usize {
-        std::mem::size_of::<Page>() + self.keys.capacity() * std::mem::size_of::<u128>()
-    }
-}
-
-/// A hash-consed paged store over fingerprint chunks: extendible
-/// hashing with an arena of sorted pages.
-///
-/// The directory is indexed by the key's top `global_depth` bits (the
-/// first "chunk" of the fingerprint; fingerprints are uniform, so the
-/// chunks are too). Each slot holds an arena page id; a page splits at
-/// [`PAGE_CAP`] keys by one more routing bit, doubling the directory
-/// only when the splitting page was already at full depth — every other
-/// slot keeps *sharing* its old page, so directory doubling is O(slots)
-/// pointer copies, not a rehash. Membership is exact (full keys are
-/// stored), accounting is exact (`bytes_resident` sums the directory
-/// and page allocations), and the tight [`PAGE_SLAB`] growth keeps
-/// resident bytes per key below the flat table's bucket overhead.
-#[derive(Debug)]
-pub struct SharedStore {
-    global_depth: u32,
-    /// `dir[top_bits(key)]` = arena page id.
-    dir: Vec<u32>,
-    /// The page arena. Pages are never freed (splits reuse the old page
-    /// as one of the two halves), so ids stay stable.
-    pages: Vec<Page>,
-    len: usize,
-    dedup_hits: usize,
-}
-
-impl Default for SharedStore {
-    fn default() -> SharedStore {
-        SharedStore::new()
-    }
-}
-
-impl SharedStore {
-    /// An empty store: one page shared by the whole (depth-0) directory.
-    pub fn new() -> SharedStore {
-        SharedStore {
-            global_depth: 0,
-            dir: vec![0],
-            pages: vec![Page {
-                local_depth: 0,
-                keys: Vec::new(),
-            }],
-            len: 0,
-            dedup_hits: 0,
-        }
-    }
-
-    fn slot_of(&self, key: u128) -> usize {
-        if self.global_depth == 0 {
-            0
-        } else {
-            (key >> (128 - self.global_depth)) as usize
-        }
-    }
-
-    /// Splits the page under `key`'s slot by one routing bit, doubling
-    /// the directory first when the page is already at global depth.
-    fn split(&mut self, key: u128) {
-        let pid = self.dir[self.slot_of(key)] as usize;
-        if self.pages[pid].local_depth == self.global_depth {
-            // Double the directory; every new slot shares its buddy's page.
-            self.global_depth += 1;
-            let old = std::mem::take(&mut self.dir);
-            self.dir = Vec::with_capacity(old.len() * 2);
-            for id in old {
-                self.dir.push(id);
-                self.dir.push(id);
-            }
-        }
-        let depth = self.pages[pid].local_depth + 1;
-        // Partition by the new routing bit (bit `depth` from the top).
-        let shift = 128 - depth;
-        let old_keys = std::mem::take(&mut self.pages[pid].keys);
-        let (zeros, ones): (Vec<u128>, Vec<u128>) =
-            old_keys.into_iter().partition(|k| (k >> shift) & 1 == 0);
-        self.pages[pid].local_depth = depth;
-        self.pages[pid].keys = zeros;
-        self.pages[pid].keys.shrink_to_fit();
-        let mut ones_page = Page {
-            local_depth: depth,
-            keys: ones,
-        };
-        ones_page.keys.shrink_to_fit();
-        let new_pid = self.pages.len() as u32;
-        self.pages.push(ones_page);
-        // Re-route the directory slots whose `depth`-bit prefix now ends
-        // in 1 from the old page to the new one.
-        let slots_per_page = 1usize << (self.global_depth - depth);
-        for (slot, id) in self.dir.iter_mut().enumerate() {
-            if *id == pid as u32 && (slot / slots_per_page) & 1 == 1 {
-                *id = new_pid;
-            }
-        }
-    }
-}
-
-impl VisitedStore for SharedStore {
-    fn insert(&mut self, key: u128) -> bool {
-        loop {
-            let pid = self.dir[self.slot_of(key)] as usize;
-            let page = &mut self.pages[pid];
-            match page.keys.binary_search(&key) {
-                Ok(_) => {
-                    self.dedup_hits += 1;
-                    return false;
-                }
-                Err(pos) => {
-                    if page.keys.len() >= PAGE_CAP {
-                        self.split(key);
-                        continue;
-                    }
-                    if page.keys.len() == page.keys.capacity() {
-                        page.keys.reserve_exact(PAGE_SLAB);
-                    }
-                    page.keys.insert(pos, key);
-                    self.len += 1;
-                    return true;
-                }
-            }
-        }
-    }
-
-    fn contains(&self, key: u128) -> bool {
-        let pid = self.dir[self.slot_of(key)] as usize;
-        self.pages[pid].keys.binary_search(&key).is_ok()
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn stats(&self) -> StoreStats {
-        let bytes = std::mem::size_of::<Self>()
-            + self.dir.capacity() * std::mem::size_of::<u32>()
-            + self.pages.iter().map(Page::bytes).sum::<usize>();
-        StoreStats {
-            kind: StoreKind::Shared,
-            sym: false,
-            bytes_resident: bytes,
-            nodes: self.pages.len(),
-            dedup_hits: self.dedup_hits,
-        }
-    }
-}
-
 // ---- AnyStore -----------------------------------------------------------
 
-/// A store value dispatching over the three kinds — what the sequential
-/// engines hold (the parallel engine goes through
-/// [`concurrent::ConcurrentStore`]).
+/// A store value dispatching over the two kinds — what the sequential
+/// engines hold (the parallel engine holds a [`concurrent::CasFilter`]).
 #[derive(Debug)]
 pub enum AnyStore {
     /// Flat fingerprint set.
     Flat(FlatStore),
     /// Flat set over symmetry-canonical keys.
     Sym(SymmetryStore),
-    /// The paged hash-consed store.
-    Shared(SharedStore),
 }
 
 impl AnyStore {
@@ -404,7 +215,6 @@ impl AnyStore {
         match kind {
             StoreKind::Flat => AnyStore::Flat(FlatStore::new()),
             StoreKind::Sym => AnyStore::Sym(SymmetryStore::new()),
-            StoreKind::Shared => AnyStore::Shared(SharedStore::new()),
         }
     }
 }
@@ -414,7 +224,6 @@ impl VisitedStore for AnyStore {
         match self {
             AnyStore::Flat(s) => s.insert(key),
             AnyStore::Sym(s) => s.insert(key),
-            AnyStore::Shared(s) => s.insert(key),
         }
     }
 
@@ -422,7 +231,6 @@ impl VisitedStore for AnyStore {
         match self {
             AnyStore::Flat(s) => s.contains(key),
             AnyStore::Sym(s) => s.contains(key),
-            AnyStore::Shared(s) => s.contains(key),
         }
     }
 
@@ -430,7 +238,6 @@ impl VisitedStore for AnyStore {
         match self {
             AnyStore::Flat(s) => VisitedStore::len(s),
             AnyStore::Sym(s) => VisitedStore::len(s),
-            AnyStore::Shared(s) => VisitedStore::len(s),
         }
     }
 
@@ -438,7 +245,6 @@ impl VisitedStore for AnyStore {
         match self {
             AnyStore::Flat(s) => s.stats(),
             AnyStore::Sym(s) => s.stats(),
-            AnyStore::Shared(s) => s.stats(),
         }
     }
 }
@@ -458,6 +264,7 @@ mod tests {
             assert_eq!(StoreKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(StoreKind::parse("bogus"), None);
+        assert_eq!(StoreKind::parse("shared"), None);
         assert_eq!(StoreKind::default(), StoreKind::Flat);
     }
 
@@ -476,47 +283,6 @@ mod tests {
             assert!(!s.contains(0xdead_beef), "{kind:?}");
             assert_eq!(VisitedStore::len(&s), 3_000, "{kind:?}");
             assert_eq!(s.stats().dedup_hits, 3_000, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn shared_store_splits_and_shares_pages() {
-        let mut s = SharedStore::new();
-        for k in keys(10_000) {
-            assert!(s.insert(k));
-        }
-        let stats = s.stats();
-        assert!(stats.nodes > 1, "splits must have happened");
-        assert_eq!(s.len, 10_000);
-        // Every page is reachable and sorted; directory covers all slots.
-        assert_eq!(s.dir.len(), 1 << s.global_depth);
-        for page in &s.pages {
-            assert!(page.keys.windows(2).all(|w| w[0] < w[1]), "sorted pages");
-            assert!(page.keys.len() <= PAGE_CAP);
-            assert!(page.local_depth <= s.global_depth);
-        }
-        // Shared slots: a page at depth d below global is pointed to by
-        // exactly 2^(global - d) directory slots.
-        for (pid, page) in s.pages.iter().enumerate() {
-            let refs = s.dir.iter().filter(|&&id| id as usize == pid).count();
-            assert_eq!(refs, 1 << (s.global_depth - page.local_depth), "page {pid}");
-        }
-    }
-
-    #[test]
-    fn shared_store_beats_flat_on_resident_bytes() {
-        // The acceptance property the bench rows gate: across a wide
-        // range of set sizes, the paged store stays under the flat
-        // table's power-of-two bucket growth.
-        for n in [200u128, 321, 553, 1_000, 5_000, 20_000] {
-            let mut flat = FlatStore::new();
-            let mut shared = SharedStore::new();
-            for k in keys(n) {
-                flat.insert(k);
-                shared.insert(k);
-            }
-            let (fb, sb) = (flat.stats().bytes_resident, shared.stats().bytes_resident);
-            assert!(sb < fb, "n={n}: shared {sb} B must undercut flat {fb} B");
         }
     }
 

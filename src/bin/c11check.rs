@@ -7,7 +7,6 @@
 //! c11check program.c11 [--sc] [--max-events N] [--engine E] [--reduction R] [--workers N] [--json] [--dot] [--quiet]
 //! echo 'vars x; thread t { x := 1; }' | c11check -
 //! c11check --litmus litmus/ --json                        # machine-readable corpus verdicts
-//! c11check --litmus litmus/ --json --reduction sleep-set  # same verdicts, fewer states
 //! c11check --litmus litmus/ --json --reduction source-set # same verdicts, far fewer states
 //! ```
 //!
@@ -50,8 +49,6 @@ const USAGE: &str = "usage: c11check <program.c11 | - | dir> [--litmus] [--sc] \
      --reduction R: pick how much of the state space the walk may skip \
      (sequential engine only):\n\
          none:       visit every reachable configuration (default)\n\
-         sleep-set:  sleep-set DPOR — fewer generated states, otherwise \
-     identical reports\n\
          source-set: source-set DPOR — one execution per Mazurkiewicz \
      trace; verdicts, outcomes and validity identical, unique/generated \
      intentionally smaller (the finals-only contract, surfaced in the \
@@ -64,13 +61,11 @@ const USAGE: &str = "usage: c11check <program.c11 | - | dir> [--litmus] [--sc] \
          flat:   one hash set of state fingerprints (default)\n\
          sym:    flat + thread-permutation symmetry quotienting (implies \
      --symmetry; fewer unique states on programs with identical threads)\n\
-         shared: hash-consed extendible-hash pages with exact resident-\
-     byte accounting (a \"store\" block in --json stats)\n\
      --symmetry: quotient visited states by thread-permutation symmetry \
      with any store (changes unique/generated counts, never verdicts)\n\
      --json: emit a machine-readable c11check/v1 report, e.g.\n\
          c11check program.c11 --json --workers 4\n\
-         c11check --litmus litmus/ --json --reduction sleep-set";
+         c11check --litmus litmus/ --json --reduction source-set";
 
 /// How argument parsing can end without an `Opts`: a requested help page
 /// (exit 0) or a real usage error (exit 2).

@@ -21,7 +21,9 @@
 //! a `{"stats": true}` frame gets the live session counters (with
 //! per-reduction exploration counts). Request documents carry the full
 //! `c11serve` schema, including the `engine` × `reduction` pair and the
-//! `store` (`"flat"`/`"sym"`/`"shared"`) and `symmetry` storage knobs.
+//! `store` (`"flat"`/`"sym"`) and `symmetry` storage knobs. A request
+//! naming a value outside those sets is answered with an `"error"`
+//! frame that names the valid set.
 //! The request pipeline, the session flags and the tally live in
 //! `c11_api::service`, shared with `c11serve`; this binary is the accept
 //! loop and the per-connection frame loop. A frame

@@ -23,7 +23,8 @@
 //! done | c11serve --workers 4
 //! ```
 //!
-//! Request-line schema (`c11check/v1`; unknown keys are rejected):
+//! Request-line schema (`c11check/v1`; unknown keys are rejected, and a
+//! value outside a key's set gets an error line naming the valid set):
 //!
 //! | key            | value                                              |
 //! |----------------|----------------------------------------------------|
@@ -34,9 +35,9 @@
 //! | `model`        | `"ra"` (default) / `"sc"` / `"pre-execution"`      |
 //! | `mode`         | `"outcomes"` (default) / `"count"` / `"litmus"` (litmus inputs' default) |
 //! | `engine`       | `"sequential"` (default) / `"parallel"`, or `{"kind":"parallel","workers":N}` |
-//! | `reduction`    | `"none"` (default) / `"sleep-set"` / `"source-set"`, or `{"kind":…,"contract":…}` |
+//! | `reduction`    | `"none"` (default) / `"source-set"`, or `{"kind":…,"contract":…}` |
 //! | `bounds`       | `{"max_events":N,"max_states":N,"max_depth":N}` (each optional) |
-//! | `store`        | `"flat"` (default) / `"sym"` / `"shared"` — visited-state store |
+//! | `store`        | `"flat"` (default) / `"sym"` — visited-state store |
 //! | `symmetry`     | bool — quotient visited states by thread-permutation symmetry |
 //! | `traces`       | bool — witness schedules per outcome               |
 //! | `dot`          | integer — render up to N final executions as DOT   |
@@ -49,8 +50,8 @@
 //! with an `id`) is answered in stream order with the live
 //! `SessionStats` counters as a `"mode":"session-stats"` line instead
 //! of a report (including per-reduction exploration counts:
-//! `explorations_none` / `explorations_sleep_set` /
-//! `explorations_source_set`), and is not counted as a job. Malformed lines produce
+//! `explorations_none` / `explorations_source_set`), and is not
+//! counted as a job. Malformed lines produce
 //! `{"schema":"c11check/v1","id":…,"status":"error","error":"…"}`;
 //! submissions bounced by a full queue (`--max-queue`) produce
 //! `"status":"overloaded"` lines. Input lines are capped at 1 MiB:

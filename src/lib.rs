@@ -26,7 +26,7 @@
 //! * [`explore`] — exhaustive model checkers over configurations: the
 //!   sequential reference engine and the work-stealing parallel engine
 //!   ([`prelude::Engine`]), optionally composed with a partial-order
-//!   reduction ([`prelude::Reduction`]: sleep-set or source-set DPOR),
+//!   reduction ([`prelude::Reduction`]: source-set DPOR),
 //!   behind one [`explore::ExploreBackend`] trait.
 //! * [`verify`] — determinate-value / variable-ordering assertions and the
 //!   Figure-4 rule engine (paper §5), with the Peterson and message-passing
@@ -95,8 +95,8 @@ pub mod prelude {
     pub use c11_core::state::C11State;
     pub use c11_core::{Action, ThreadId};
     pub use c11_explore::{
-        Budget, DporBackend, ExploreBackend, ExploreConfig, Explorer, Interrupt, ParallelBackend,
-        RegSnapshot, SequentialBackend, Stats, StoreKind, StoreStats, SymClasses,
+        Budget, ExploreBackend, ExploreConfig, Explorer, Interrupt, ParallelBackend, RegSnapshot,
+        SequentialBackend, Stats, StoreKind, StoreStats, SymClasses,
     };
     pub use c11_lang::ast::{BinOp, Com, Exp, Prog, RegId, Val, VarId};
     pub use c11_lang::parser::parse_program;

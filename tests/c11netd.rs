@@ -248,6 +248,22 @@ fn malformed_payloads_get_error_frames_and_framing_errors_close_the_connection()
     assert_eq!(s(&bad, "id"), Some("bad"));
     assert_eq!(s(&bad, "status"), Some("error"));
     assert!(s(&bad, "error").unwrap().contains("unknown key"));
+    // Removed selections are validation errors naming the valid set.
+    for (frame, valid) in [
+        (
+            "{\"id\":\"sleep\",\"program\":\"vars x; thread t { x := 1; }\",\"reduction\":\"sleep-set\"}",
+            "\"none\" or \"source-set\"",
+        ),
+        (
+            "{\"id\":\"shared\",\"program\":\"vars x; thread t { x := 1; }\",\"store\":\"shared\"}",
+            "\"flat\" or \"sym\"",
+        ),
+    ] {
+        send_frame(&mut conn, frame);
+        let bad = recv_frame(&mut conn);
+        assert_eq!(s(&bad, "status"), Some("error"));
+        assert!(s(&bad, "error").unwrap().contains(valid), "{bad:?}");
+    }
 
     // An oversized frame length is a protocol violation: one error
     // frame, then the connection closes (no resync is possible).

@@ -187,30 +187,38 @@ fn litmus_corpus_streams_through_the_service() {
     );
 }
 
-/// The sleep-set reduction over the request-line surface, as a string
-/// and as a `{"kind"}` block alike: first
-/// submission computes, resubmission in the same stream is a cache hit
-/// (an exhaustive-contract reduction does not split the cache key), and
-/// unknown names are rejected.
+/// The source-set reduction over the request-line surface, as a string
+/// and as a `{"kind"}` block alike: the first submission computes and
+/// the identical resubmission right behind it in the same stream is the
+/// cache hit (slots are claimed in submission order), and unknown or
+/// removed names are rejected with the valid set.
 #[test]
 fn dpor_backend_requests_compute_cold_and_hit_warm() {
     let input = concat!(
-        "{\"id\":\"cold\",\"litmus_path\":\"litmus/mp_ra.litmus\",\"reduction\":\"sleep-set\"}\n",
-        "{\"id\":\"warm\",\"litmus_path\":\"litmus/mp_ra.litmus\",\"reduction\":\"sleep-set\"}\n",
+        "{\"id\":\"cold\",\"litmus_path\":\"litmus/mp_ra.litmus\",\"reduction\":\"source-set\"}\n",
+        "{\"id\":\"warm\",\"litmus_path\":\"litmus/mp_ra.litmus\",\"reduction\":\"source-set\"}\n",
         "{\"id\":\"obj\",\"program\":\"vars x; thread t { x := 1; }\",",
-        "\"reduction\":{\"kind\":\"sleep-set\"}}\n",
+        "\"reduction\":{\"kind\":\"source-set\"}}\n",
         "{\"id\":\"bad\",\"program\":\"vars x; thread t { x := 1; }\",",
         "\"reduction\":\"warp-drive\"}\n",
         "{\"id\":\"mix\",\"program\":\"vars x; thread t { x := 1; }\",",
         "\"backend\":\"dpor\"}\n",
+        "{\"id\":\"sleep\",\"program\":\"vars x; thread t { x := 1; }\",",
+        "\"reduction\":\"sleep-set\"}\n",
+        "{\"id\":\"shared\",\"program\":\"vars x; thread t { x := 1; }\",",
+        "\"store\":\"shared\"}\n",
     );
     let (ok, lines) = run_c11serve(&[], input);
     assert!(!ok, "the bad reduction line must fail the exit code");
-    assert_eq!(lines.len(), 6, "5 reports + summary: {lines:?}");
+    assert_eq!(lines.len(), 8, "7 reports + summary: {lines:?}");
 
     let hit = |v: &Json| v.get("cache_hit").and_then(Json::as_bool);
     assert_eq!(s(&lines[0], "id"), Some("cold"));
-    assert_eq!(hit(&lines[0]), Some(false), "first sleep-set pass computes");
+    assert_eq!(
+        hit(&lines[0]),
+        Some(false),
+        "first source-set pass computes"
+    );
     assert_eq!(s(&lines[1], "id"), Some("warm"));
     assert_eq!(
         hit(&lines[1]),
@@ -226,23 +234,23 @@ fn dpor_backend_requests_compute_cold_and_hit_warm() {
         );
         assert_eq!(
             line.get("reduction").and_then(|r| s(r, "kind")),
-            Some("sleep-set"),
+            Some("source-set"),
             "reports carry the computing reduction"
         );
         assert_eq!(
             line.get("reduction").and_then(|r| s(r, "contract")),
-            Some("exhaustive")
+            Some("finals-only")
         );
         assert_eq!(line.get("pass").and_then(Json::as_bool), Some(true));
     }
     assert_eq!(s(&lines[2], "status"), Some("ok"), "object spelling works");
     assert_eq!(
         lines[2].get("reduction").and_then(|r| s(r, "kind")),
-        Some("sleep-set")
+        Some("source-set")
     );
     assert_eq!(s(&lines[3], "status"), Some("error"));
     assert!(
-        s(&lines[3], "error").unwrap().contains("sleep-set"),
+        s(&lines[3], "error").unwrap().contains("source-set"),
         "the error names the valid reductions: {:?}",
         lines[3]
     );
@@ -254,6 +262,16 @@ fn dpor_backend_requests_compute_cold_and_hit_warm() {
         "the retired backend key is an unknown key: {:?}",
         lines[4]
     );
+    for (line, valid) in [
+        (&lines[5], "\"none\" or \"source-set\""),
+        (&lines[6], "\"flat\" or \"sym\""),
+    ] {
+        assert_eq!(s(line, "status"), Some("error"));
+        assert!(
+            s(line, "error").unwrap().contains(valid),
+            "a removed selection names the valid set: {line:?}"
+        );
+    }
 }
 
 /// An oversized request line is answered with a positioned error — and
@@ -317,7 +335,7 @@ fn tiny_timeouts_yield_timed_out_reports_not_errors() {
         concat!(
             "{{\"id\":\"seq\",\"program\":\"{p}\",\"timeout_ms\":0}}\n",
             "{{\"id\":\"par\",\"program\":\"{p}\",\"timeout_ms\":0,\"engine\":{{\"kind\":\"parallel\",\"workers\":4}}}}\n",
-            "{{\"id\":\"dpor\",\"program\":\"{p}\",\"timeout_ms\":0,\"reduction\":\"sleep-set\"}}\n",
+            "{{\"id\":\"dpor\",\"program\":\"{p}\",\"timeout_ms\":0,\"reduction\":\"source-set\"}}\n",
         ),
         p = contended
     );
@@ -368,10 +386,6 @@ fn stats_control_lines_report_session_counters() {
     assert_eq!(
         stats.get("explorations_none").and_then(Json::as_usize),
         Some(1)
-    );
-    assert_eq!(
-        stats.get("explorations_sleep_set").and_then(Json::as_usize),
-        Some(0)
     );
     assert_eq!(
         stats

@@ -1,7 +1,8 @@
 //! Disk-backed cache persistence end to end over the `Session` API:
 //! a snapshot written on drop (or `flush_cache`) warms a fresh session
 //! so resubmissions answer `cache_hit: true` with the byte-identical
-//! report, corrupt or mismatched lines are skipped (and counted), and
+//! report, corrupt or mismatched lines are skipped (and counted) —
+//! lines naming selections that no longer exist included — and
 //! interrupted results never round-trip through the file.
 
 use c11_operational::prelude::*;
@@ -102,6 +103,71 @@ fn corrupt_and_mismatched_lines_are_skipped_and_counted() {
         "the intact entry still serves"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Snapshots written while the sleep-set reduction and the hash-consed
+/// store still existed keep loading: a line naming either is skipped
+/// and counted, nothing panics, and the other lines still serve warm.
+#[test]
+fn lines_naming_removed_selections_are_skipped_and_counted() {
+    let path = temp_path("removed-selections");
+    let mp = "vars d f; thread t1 { d := 5; f :=R 1; } thread t2 { r0 <-A f; r1 <- d; }";
+    {
+        let session = Session::new(SessionConfig::default().workers(1).cache_path(&path));
+        session.run(CheckRequest::program(SB)).unwrap();
+        session.run(CheckRequest::program(mp)).unwrap();
+    }
+    let good = std::fs::read_to_string(&path).unwrap();
+    let lines: Vec<&str> = good.lines().collect();
+    assert_eq!(lines.len(), 2);
+    let backend = "\"backend\":{\"kind\":\"sequential\"},";
+    let sleep_set = lines[0].replace(
+        backend,
+        &format!("{backend}\"reduction\":{{\"kind\":\"sleep-set\",\"contract\":\"exhaustive\"}},"),
+    );
+    let shared = lines[1].replace("\"store\":\"flat\"", "\"store\":\"shared\"");
+    assert_ne!(sleep_set, lines[0], "the report names sleep-set");
+    assert_ne!(shared, lines[1], "the key names the shared store");
+    let old = format!("{}\n{sleep_set}\n{shared}\n{}\n", lines[0], lines[1]);
+    std::fs::write(&path, old).unwrap();
+
+    let session = Session::new(SessionConfig::default().workers(1).cache_path(&path));
+    let stats = session.stats();
+    assert_eq!(stats.persist_loaded, 2, "the current lines load");
+    assert_eq!(
+        stats.persist_skipped, 2,
+        "both removed selections are counted"
+    );
+    for program in [SB, mp] {
+        assert!(
+            session
+                .run(CheckRequest::program(program))
+                .unwrap()
+                .cache_hit(),
+            "the other lines still serve warm"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// An invariant cannot be answered under the finals-only contract: the
+/// request falls back to no reduction, and its report says so.
+#[test]
+fn invariant_under_source_set_reports_the_none_fallback() {
+    let inv = Invariant::new("anything", |_v| true);
+    let report = CheckRequest::program(SB)
+        .mode(Mode::Invariant(inv))
+        .reduction(Reduction::SourceSet)
+        .run()
+        .unwrap();
+    assert_eq!(report.meta().reduction, Reduction::None);
+    assert!(
+        report
+            .to_json()
+            .contains("\"reduction\":{\"kind\":\"none\",\"contract\":\"exhaustive\"}"),
+        "{}",
+        report.to_json()
+    );
 }
 
 #[test]

@@ -1,5 +1,4 @@
-//! The parallel backend's acceptance bar, mirroring `dpor_backend.rs`:
-//! worker-count-independent equality with the sequential reference engine
+//! The parallel backend's acceptance bar: worker-count-independent equality with the sequential reference engine
 //! — identical state counts, finals multisets, violation counts and
 //! truncation flags at 1/2/4/8 workers — over the litmus corpus at
 //! several bounds (truncating ones included), the repo's example
@@ -52,7 +51,7 @@ fn assert_parallel_matches_sequential(prog: &Prog, cfg: &ExploreConfig, what: &s
 /// The corpus at the tests' own bounds, at a tight truncating event
 /// bound, and at a depth bound: full equality everywhere. (The
 /// `max_states` cap is exploration-order-dependent in which prefix it
-/// keeps and is pinned separately in `dpor_backend.rs`.)
+/// keeps and is pinned separately in `parallel_backend.rs`.)
 #[test]
 fn parallel_full_results_match_sequential_on_corpus_at_several_bounds() {
     for test in corpus() {

@@ -1,11 +1,11 @@
 //! Service hardening under hostile load: deadlines and cooperative
 //! cancellation interrupt every engine × reduction (sequential, parallel
-//! at 1/4 workers, sleep-set and source-set DPOR) with sane partial
+//! at 1/4 workers, source-set DPOR) with sane partial
 //! stats; the session's result cache honours `cache_capacity` as a hard
 //! LRU ceiling without breaking warm-hit byte-identity or pending-slot
 //! coalescing.
 
-use c11_operational::explore::{explore_dpor, explore_source, parallel_explore, Budget, Interrupt};
+use c11_operational::explore::{explore_source, parallel_explore, Budget, Interrupt};
 use c11_operational::litmus::corpus;
 use c11_operational::prelude::*;
 use proptest::prelude::*;
@@ -36,7 +36,6 @@ fn backends() -> Vec<(Engine, Reduction, &'static str)> {
             Reduction::None,
             "parallel-4",
         ),
-        (Engine::Sequential, Reduction::SleepSet, "sleep-set"),
         (Engine::Sequential, Reduction::SourceSet, "source-set"),
     ]
 }
@@ -73,7 +72,7 @@ fn five_ms_deadline_on_contended_shape_times_out_under_every_backend() {
 fn mid_flight_cancel_drains_every_engine() {
     let prog = parse_program(E16_CONTENDED_6).expect("shape parses");
     for workers in [1usize, 4] {
-        for engine in ["sequential", "parallel", "dpor", "source"] {
+        for engine in ["sequential", "parallel", "source"] {
             let token = Budget::unlimited();
             let cfg = ExploreConfig::default()
                 .max_events(12)
@@ -89,7 +88,6 @@ fn mid_flight_cancel_drains_every_engine() {
             let result = match engine {
                 "sequential" => Explorer::new(RaModel).explore(&prog, cfg),
                 "parallel" => parallel_explore(&RaModel, &prog, &cfg, workers),
-                "dpor" => explore_dpor(&RaModel, &prog, &cfg),
                 _ => explore_source(&RaModel, &prog, &cfg),
             };
             canceller.join().unwrap();
@@ -126,7 +124,6 @@ proptest! {
         for (engine, reduction) in [
             (Engine::Sequential, Reduction::None),
             (Engine::Parallel { workers }, Reduction::None),
-            (Engine::Sequential, Reduction::SleepSet),
             (Engine::Sequential, Reduction::SourceSet),
         ] {
             let report = CheckRequest::litmus(test.clone())

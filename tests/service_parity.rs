@@ -34,7 +34,7 @@ fn stream() -> Vec<String> {
         format!(r#"{{"id":"sb-count","program":"{SB}","mode":"count"}}"#),
         format!(r#"{{"id":"sb-sc","program":"{SB}","model":"sc"}}"#),
         format!(r#"{{"id":"sb-pre","program":"{SB}","model":"pre-execution","mode":"count"}}"#),
-        format!(r#"{{"id":"mp-sleep","program":"{MP}","reduction":"sleep-set"}}"#),
+        format!(r#"{{"id":"mp-none","program":"{MP}","reduction":{{"kind":"none"}}}}"#),
         format!(r#"{{"id":"mp-source","program":"{MP}","reduction":{{"kind":"source-set"}}}}"#),
         format!(r#"{{"id":"mp-sym","program":"{MP}","store":"sym","symmetry":true}}"#),
         format!(r#"{{"id":"mp-again","program":"{MP}","reduction":"none"}}"#),
@@ -49,7 +49,7 @@ fn stream() -> Vec<String> {
         "this is not json".to_string(),
         format!(r#"{{"id":"unknown","program":"{SB}","frobnicate":1}}"#),
         format!(r#"{{"id":"retired","program":"{SB}","backend":"dpor"}}"#),
-        format!(r#"{{"id":"bad-parallel","program":"{SB}","engine":"parallel","reduction":"sleep-set"}}"#),
+        format!(r#"{{"id":"bad-parallel","program":"{SB}","engine":"parallel","reduction":"source-set"}}"#),
         r#"{"id":"bad-prog","program":"vars x; thread t { y := 1; }"}"#.to_string(),
         r#"{"id":"bad-stats","stats":1}"#.to_string(),
     ]
