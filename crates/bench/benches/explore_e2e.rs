@@ -2,8 +2,8 @@
 //! throughput over the litmus corpus and the scaling workloads, plus the
 //! `transitive_closure` microbenches that dominate the per-transition cost.
 //!
-//! Unlike the criterion targets this is a hand-rolled harness (`harness =
-//! false` + own `main`) so it can emit machine-readable JSON: run with
+//! A hand-rolled harness (`harness = false` + own `main`) so it can emit
+//! machine-readable JSON: run with
 //!
 //! ```sh
 //! cargo bench --bench explore_e2e -- --json BENCH_explore_e2e.json
@@ -71,7 +71,7 @@ impl Row {
 }
 
 /// Times `f` `reps` times and returns the best run in nanos (min over reps
-/// filters scheduler noise; the shim criterion reports min too).
+/// filters scheduler noise).
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> u128 {
     let mut best = u128::MAX;
     for _ in 0..reps {

@@ -1,6 +1,6 @@
-//! Shared workloads for the benchmark harness. Each bench target under
-//! `benches/` regenerates one experiment of `EXPERIMENTS.md`; this crate
-//! hosts the workload generators they share.
+//! Shared workloads for the benchmark harnesses: the `explore_e2e` bench
+//! target and the c11perf benchmark draw their programs and states from
+//! these generators.
 
 use c11_core::state::C11State;
 use c11_core::Event;

@@ -8,8 +8,9 @@
 //! reference or the parallel engine) × a [`Reduction`] (how much of the
 //! state space the walk may skip: none, or the finals-only source sets)
 //! — combined into the pool-friendly [`AnyBackend`] handle. The concrete
-//! implementations are [`SequentialBackend`], [`ParallelBackend`] and
-//! the source-set engine [`SourceSetBackend`] (see [`crate::source`]).
+//! exhaustive implementations are [`SequentialBackend`] and
+//! [`ParallelBackend`]; the source-set reduction runs through
+//! [`AnyBackend::source_set`] (see [`crate::source`]).
 
 use crate::engine::{explore_invariant_with, ExploreConfig, ExploreResult};
 use crate::par::parallel_explore_invariant;
@@ -101,31 +102,6 @@ where
     }
 }
 
-/// The source-set DPOR engine (see [`crate::source`]): explores one
-/// execution per Mazurkiewicz trace under the **finals-only contract** —
-/// finals (by fingerprint multiset), litmus verdicts, violations on the
-/// configurations it does visit, and the `truncated` flag match the
-/// sequential engine, while `unique`/`generated` are intentionally
-/// smaller and transient states may be skipped entirely.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SourceSetBackend;
-
-impl<M: MemoryModel> ExploreBackend<M> for SourceSetBackend {
-    fn name(&self) -> String {
-        "source-set".to_string()
-    }
-
-    fn run_invariant(
-        &self,
-        model: &M,
-        prog: &Prog,
-        cfg: &ExploreConfig,
-        inv: &(dyn Fn(&Config<M>) -> bool + Sync),
-    ) -> ExploreResult<M> {
-        explore_source_invariant(model, prog, cfg, |c| inv(c))
-    }
-}
-
 /// Who does the walking: the two exploration engines proper, orthogonal
 /// to the [`Reduction`] strategy layered on top.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -164,7 +140,7 @@ impl Engine {
 ///
 /// `None` keeps the full exhaustive contract (every state, finals,
 /// verdicts, violations); `SourceSet` trades the intermediate states
-/// away under the finals-only contract (see [`SourceSetBackend`]). The
+/// away under the finals-only contract (see [`crate::source`]). The
 /// reduction runs on the sequential engine — combining it with
 /// [`Engine::Parallel`] is rejected at the request layer (`c11_api`);
 /// this handle, which must stay total, runs the reduction sequentially.
@@ -173,8 +149,10 @@ pub enum Reduction {
     /// No reduction: visit every reachable configuration.
     #[default]
     None,
-    /// Source-set DPOR ([`SourceSetBackend`]): one execution per trace,
-    /// finals-only contract.
+    /// Source-set DPOR ([`crate::source`]): one execution per trace,
+    /// finals-only contract — `unique`/`generated` are intentionally
+    /// smaller, while finals, verdicts, violations on the configurations
+    /// it visits and the `truncated` flag match the sequential engine.
     SourceSet,
 }
 
@@ -280,7 +258,7 @@ where
             }
             // The reduction runs on the sequential engine (the request
             // layer rejects Parallel × reduction before it gets here).
-            (_, Reduction::SourceSet) => SourceSetBackend.run_invariant(model, prog, cfg, inv),
+            (_, Reduction::SourceSet) => explore_source_invariant(model, prog, cfg, |c| inv(c)),
         }
     }
 }
@@ -290,30 +268,6 @@ mod tests {
     use super::*;
     use c11_core::model::{RaModel, ScModel};
     use c11_lang::parse_program;
-
-    /// Both backends through the trait object surface the api crate uses.
-    #[test]
-    fn backends_agree_through_the_trait() {
-        let prog = parse_program(
-            "vars x y;
-             thread t1 { x := 1; r0 <- y; }
-             thread t2 { y := 1; r0 <- x; }",
-        )
-        .unwrap();
-        let cfg = ExploreConfig::default();
-        let backends: Vec<Box<dyn ExploreBackend<RaModel>>> = vec![
-            Box::new(SequentialBackend),
-            Box::new(ParallelBackend::new(2)),
-        ];
-        // SourceSetBackend is exercised separately: it keeps finals and
-        // verdicts but intentionally not `unique`.
-        let reference = SequentialBackend.run(&RaModel, &prog, &cfg);
-        for b in &backends {
-            let res = b.run(&RaModel, &prog, &cfg);
-            assert_eq!(res.unique, reference.unique, "{}", b.name());
-            assert_eq!(res.finals.len(), reference.finals.len(), "{}", b.name());
-        }
-    }
 
     #[test]
     fn trait_covers_store_based_models_too() {
@@ -375,10 +329,6 @@ mod tests {
         assert_eq!(
             ExploreBackend::<RaModel>::name(&ParallelBackend::new(4)),
             "parallel(4)"
-        );
-        assert_eq!(
-            ExploreBackend::<RaModel>::name(&SourceSetBackend),
-            "source-set"
         );
         assert_eq!(
             ExploreBackend::<RaModel>::name(&AnyBackend::source_set()),

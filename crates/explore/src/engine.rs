@@ -1,28 +1,16 @@
-//! The sequential exploration engine.
+//! The sequential exploration engine — a FIFO frontier over the frontier
+//! kernel (`kernel.rs`) on the caller's thread — and the vocabulary every
+//! engine shares ([`ExploreConfig`], [`ExploreResult`], [`TraceStep`]).
 
 use crate::budget::{Budget, Interrupt};
-use crate::sym::{sym_fingerprint, SymClasses};
-use c11_core::config::{Config, ConfigStep};
-use c11_core::fingerprint::{combine128, hash128_of};
+use crate::kernel::{Kernel, Unstored, Walk};
+use crate::sym::SymClasses;
+use c11_core::config::Config;
 use c11_core::model::MemoryModel;
 use c11_lang::step::RegFile;
 use c11_lang::{Prog, RegId, StepLabel, ThreadId, Val};
 use c11_store::{AnyStore, StoreKind, StoreStats, VisitedStore};
 use std::collections::VecDeque;
-
-/// The 128-bit visited key of a configuration: fixed-seed fingerprints of
-/// the residual commands, the register files and the memory state's
-/// canonical form, mixed together. Replaces the old cloned
-/// `(Vec<Com>, Vec<RegFile>, CanonKey)` tuples — no per-successor
-/// allocation, and the same key works across worker threads (see
-/// `c11_core::fingerprint` for the collision stance).
-pub(crate) fn config_fingerprint<M: MemoryModel>(model: &M, c: &Config<M>) -> u128 {
-    combine128(&[
-        hash128_of(&c.coms),
-        hash128_of(&c.regs),
-        model.state_fingerprint(&c.mem),
-    ])
-}
 
 /// Exploration bounds and switches.
 ///
@@ -135,16 +123,6 @@ impl ExploreConfig {
         self.symmetry = on;
         self
     }
-
-    /// `true` iff this run should canonicalise keys by thread symmetry
-    /// for `model` on `classes` — requested (explicitly or via
-    /// [`StoreKind::Sym`]), exactly supported by the model, and with
-    /// something to quotient.
-    pub(crate) fn sym_effective<M: MemoryModel>(&self, model: &M, classes: &SymClasses) -> bool {
-        (self.symmetry || self.store == StoreKind::Sym)
-            && model.symmetry_exact()
-            && !classes.is_trivial()
-    }
 }
 
 /// One step of a counterexample trace.
@@ -182,55 +160,6 @@ pub fn render_trace(trace: &[TraceStep], prog: &Prog) -> String {
         let _ = writeln!(out, "  {i:>3}. {}", step.render(prog));
     }
     out
-}
-
-/// Parent-pointer arena for violation/witness trace reconstruction,
-/// shared by the sequential and source-set engines (the parallel engine keeps
-/// its own cross-worker variant in [`crate::par`]). Starts with the root
-/// node ([`TraceArena::ROOT`]) already in place.
-pub(crate) struct TraceArena {
-    nodes: Vec<TraceNode>,
-}
-
-struct TraceNode {
-    parent: usize,
-    step: Option<TraceStep>,
-}
-
-impl TraceArena {
-    /// The initial configuration's node.
-    pub(crate) const ROOT: usize = 0;
-
-    pub(crate) fn new() -> TraceArena {
-        TraceArena {
-            nodes: vec![TraceNode {
-                parent: usize::MAX,
-                step: None,
-            }],
-        }
-    }
-
-    /// Records a step under `parent` and returns the new node.
-    pub(crate) fn push(&mut self, parent: usize, step: TraceStep) -> usize {
-        self.nodes.push(TraceNode {
-            parent,
-            step: Some(step),
-        });
-        self.nodes.len() - 1
-    }
-
-    /// The root-to-`idx` schedule.
-    pub(crate) fn trace_of(&self, mut idx: usize) -> Vec<TraceStep> {
-        let mut steps = Vec::new();
-        while idx != usize::MAX {
-            if let Some(s) = &self.nodes[idx].step {
-                steps.push(s.clone());
-            }
-            idx = self.nodes[idx].parent;
-        }
-        steps.reverse();
-        steps
-    }
 }
 
 /// Final register values of all threads of a terminated configuration.
@@ -363,142 +292,40 @@ pub fn explore_invariant_with<M, F>(
     model: &M,
     prog: &Prog,
     cfg: &ExploreConfig,
-    mut inv: F,
+    inv: F,
 ) -> ExploreResult<M>
 where
     M: MemoryModel,
     F: FnMut(&Config<M>) -> bool,
 {
-    let mut result = ExploreResult {
-        unique: 0,
-        generated: 0,
-        finals: Vec::new(),
-        final_traces: Vec::new(),
-        truncated: false,
-        violations: Vec::new(),
-        stuck: 0,
-        interrupted: None,
-        store_stats: None,
-        sym_classes: None,
-    };
-    // Node store for trace reconstruction — only fed when someone will
-    // read the parent pointers back (mirrors the parallel engine's
-    // `track` guard; an untracked run does no per-state bookkeeping).
-    let track = cfg.record_traces || cfg.witness_traces;
-    let mut nodes = TraceArena::new();
-    let classes = SymClasses::of(prog);
-    let sym_on = cfg.sym_effective(model, &classes);
-    let mut visited = AnyStore::new(cfg.store);
-    // Node index of each final (for witness-trace materialisation).
-    let mut final_nodes: Vec<usize> = Vec::new();
-
-    let initial = Config::initial(model, prog);
-    let key = |c: &Config<M>| {
-        if sym_on {
-            sym_fingerprint(model, &classes, c)
-        } else {
-            config_fingerprint(model, c)
-        }
-    };
-    let mut queue: VecDeque<(Config<M>, usize, usize)> = VecDeque::new(); // (cfg, node, depth)
+    let kernel = Kernel::new(model, prog, cfg, true);
     if cfg.dedup {
-        visited.insert(key(&initial));
-    }
-    // Check the initial configuration.
-    if !inv(&initial) {
-        result.violations.push((initial.clone(), Vec::new()));
-    }
-    if initial.is_terminated() {
-        // Terminated configurations have no successors: move them
-        // straight to `finals` instead of cycling them through the
-        // queue.
-        result.finals.push(initial);
-        final_nodes.push(TraceArena::ROOT);
+        let mut store = AnyStore::new(cfg.store);
+        let walk = bfs(&kernel, prog, &mut store, inv);
+        kernel.finish([walk], Some(store.stats()))
     } else {
-        queue.push_back((initial, TraceArena::ROOT, 0));
+        let walk = bfs(&kernel, prog, &mut Unstored, inv);
+        kernel.finish([walk], None)
     }
-    result.unique = 1;
+}
 
-    // One unconditional clock read up front: a deadline already in the
-    // past (e.g. a 0 ms budget) interrupts before any expansion. The
-    // in-loop poll then only reads the clock every 64th iteration.
-    let budget = &cfg.budget;
-    let unlimited = budget.is_unlimited();
-    if !unlimited {
-        result.interrupted = budget.check_now(result.unique);
-    }
-    let mut tick: u64 = 0;
-    while result.interrupted.is_none() {
-        let Some((config, node_idx, depth)) = queue.pop_front() else {
-            break;
-        };
-        if !unlimited {
-            tick += 1;
-            if let Some(why) = budget.check(tick, result.unique) {
-                result.interrupted = Some(why);
-                break;
-            }
-        }
-        if result.unique >= cfg.max_states {
-            result.truncated = true;
+/// The breadth-first schedule: one FIFO frontier, one store, one walk.
+fn bfs<M, S, F>(kernel: &Kernel<'_, M>, prog: &Prog, store: &mut S, mut inv: F) -> Walk<M>
+where
+    M: MemoryModel,
+    S: VisitedStore,
+    F: FnMut(&Config<M>) -> bool,
+{
+    let mut walk = kernel.walk(0);
+    let root = kernel.start(prog, &mut walk, store, &mut inv);
+    let mut queue: VecDeque<_> = root.map(|(root, _)| root).into_iter().collect();
+    while let Some(item) = queue.pop_front() {
+        let unique = 1 + walk.fresh;
+        if !kernel.expand(&mut walk, store, &mut queue, item, unique, &mut inv) {
             break;
         }
-        if depth >= cfg.max_depth || model.state_size(&config.mem) >= cfg.max_events {
-            result.truncated = true;
-            continue;
-        }
-        let successors = config.successors(model);
-        if successors.is_empty() && !config.is_terminated() {
-            result.stuck += 1;
-        }
-        for ConfigStep {
-            tid, label, next, ..
-        } in successors
-        {
-            result.generated += 1;
-            if cfg.dedup && !visited.insert(key(&next)) {
-                continue;
-            }
-            let new_idx = if track {
-                nodes.push(node_idx, TraceStep { tid, label })
-            } else {
-                TraceArena::ROOT // never dereferenced when tracking is off
-            };
-            result.unique += 1;
-            if !inv(&next) {
-                let trace = if cfg.record_traces {
-                    nodes.trace_of(new_idx)
-                } else {
-                    Vec::new()
-                };
-                result.violations.push((next.clone(), trace));
-            }
-            if next.is_terminated() {
-                // Move — terminated configurations have no successors,
-                // so only `finals` needs this value.
-                result.finals.push(next);
-                final_nodes.push(new_idx);
-            } else {
-                queue.push_back((next, new_idx, depth + 1));
-            }
-        }
     }
-    if cfg.witness_traces {
-        result.final_traces = final_nodes
-            .into_iter()
-            .map(|idx| nodes.trace_of(idx))
-            .collect();
-    }
-    if cfg.dedup {
-        result.store_stats = Some(StoreStats {
-            sym: sym_on,
-            ..visited.stats()
-        });
-    }
-    if sym_on {
-        result.sym_classes = Some(classes);
-    }
-    result
+    walk
 }
 
 /// The exploration engine, parameterised by a memory model.
@@ -586,36 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn invariant_violation_comes_with_trace() {
-        let prog = parse_program("vars x; thread t { x := 1; x := 2; }").unwrap();
-        // "x never written twice" fails; the trace must have ≥ 2 steps.
-        let res = Explorer::new(RaModel).explore_invariant(
-            &prog,
-            ExploreConfig::default(),
-            |c: &Config<RaModel>| c.mem.len() < 3,
-        );
-        assert!(!res.holds());
-        // Trace: wr(x,1), τ (skip-consumption), wr(x,2).
-        let (_, trace) = &res.violations[0];
-        assert_eq!(trace.len(), 3);
-        assert!(matches!(trace[0].label, StepLabel::Act(_)));
-        assert!(matches!(trace[1].label, StepLabel::Tau));
-        assert!(matches!(trace[2].label, StepLabel::Act(_)));
-    }
-
-    #[test]
-    fn spin_loop_truncates_at_event_bound() {
-        let prog = parse_program(
-            "vars x;
-             thread t { while (x == 0) { skip; } }",
-        )
-        .unwrap();
-        let res = Explorer::new(RaModel).explore(&prog, ExploreConfig::default().max_events(8));
-        assert!(res.truncated, "spinning forever must hit the event bound");
-        assert!(res.finals.is_empty(), "x never becomes non-zero");
-    }
-
-    #[test]
     fn dedup_reduces_state_count() {
         // Two independent writers: interleavings collapse under dedup.
         let src = "vars x y;
@@ -666,37 +463,5 @@ mod tests {
             s.get(ThreadId(2), RegId(0)) == Some(1) && s.get(ThreadId(2), RegId(1)) == Some(0)
         });
         assert!(stale, "relaxed flag write must not publish d");
-    }
-
-    #[test]
-    fn max_states_cap_truncates() {
-        let src = "vars x y;
-             thread t1 { x := 1; x := 2; x := 3; }
-             thread t2 { y := 1; y := 2; y := 3; }";
-        let prog = parse_program(src).unwrap();
-        let res = Explorer::new(RaModel).explore(&prog, ExploreConfig::default().max_states(10));
-        assert!(res.truncated);
-        assert!(res.unique <= 11);
-    }
-
-    #[test]
-    fn witness_traces_replay_to_the_final() {
-        let src = "vars x y;
-             thread t1 { x := 1; r0 <- y; }
-             thread t2 { y := 1; r0 <- x; }";
-        let prog = parse_program(src).unwrap();
-        let res =
-            Explorer::new(RaModel).explore(&prog, ExploreConfig::default().witness_traces(true));
-        assert_eq!(res.final_traces.len(), res.finals.len());
-        for trace in &res.final_traces {
-            // Each final is reached by a non-empty schedule whose action
-            // steps cover both threads.
-            assert!(!trace.is_empty());
-            let tids: std::collections::HashSet<u8> = trace.iter().map(|s| s.tid.0).collect();
-            assert_eq!(tids.len(), 2);
-        }
-        // Off by default.
-        let res = Explorer::new(RaModel).explore(&prog, ExploreConfig::default());
-        assert!(res.final_traces.is_empty());
     }
 }

@@ -14,15 +14,20 @@
 //! (E11) and the benchmark baselines (E13).
 //!
 //! Three engines implement the [`ExploreBackend`] contract, selected
-//! along two orthogonal axes ([`Engine`] × [`Reduction`]): the
-//! sequential BFS reference, the contention-free parallel engine
-//! ([`par`]), and the source-set dynamic-partial-order-reduction engine
-//! ([`source`]) that explores one execution per Mazurkiewicz trace
-//! under the finals-only contract.
+//! along two orthogonal axes ([`Engine`] × [`Reduction`]). The two
+//! exhaustive engines — the sequential BFS reference ([`engine`]) and
+//! the contention-free parallel engine ([`par`]) — share one frontier
+//! kernel (`kernel.rs`): the per-state work (bounds, successors, dedup,
+//! traces, invariant, finals) and the assembly of the result are written
+//! once, and the engines differ only in how they schedule the frontier.
+//! The source-set dynamic-partial-order-reduction engine ([`source`])
+//! explores one execution per Mazurkiewicz trace under the finals-only
+//! contract, reusing the kernel's prologue and result assembly.
 
 pub mod backend;
 pub mod budget;
 pub mod engine;
+mod kernel;
 pub mod par;
 pub mod source;
 pub mod stats;
@@ -30,7 +35,6 @@ pub mod sym;
 
 pub use backend::{
     AnyBackend, Engine, ExploreBackend, ParallelBackend, Reduction, SequentialBackend,
-    SourceSetBackend,
 };
 pub use budget::{Budget, Interrupt};
 pub use c11_store::{StoreKind, StoreStats};

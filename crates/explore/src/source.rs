@@ -90,14 +90,13 @@
 //! thread's covering target into an orbit representative reached some
 //! other way, which invalidates the covering argument.
 
-use crate::engine::{
-    config_fingerprint, explore_invariant_with, ExploreConfig, ExploreResult, TraceArena, TraceStep,
-};
+use crate::engine::{explore_invariant_with, ExploreConfig, ExploreResult};
+use crate::kernel::{config_fingerprint, Kernel, NodeRef};
 use c11_core::config::{Config, ConfigStep};
 use c11_core::model::MemoryModel;
 use c11_lang::step::StepShape;
 use c11_lang::{ActionShape, Prog, ThreadId};
-use c11_store::{AnyStore, StoreStats, VisitedStore};
+use c11_store::{AnyStore, VisitedStore};
 use std::collections::VecDeque;
 use std::collections::{HashMap, HashSet};
 
@@ -189,7 +188,7 @@ struct PathEvent {
 /// One choice point of the depth-first search.
 struct Frame<M: MemoryModel> {
     config: Config<M>,
-    node_idx: usize,
+    node: NodeRef,
     depth: usize,
     /// Fingerprint (for removing from the on-path cycle set at pop).
     fp: u128,
@@ -281,23 +280,9 @@ where
     M: MemoryModel,
     F: FnMut(&Config<M>) -> bool,
 {
-    let initial = Config::initial(model, prog);
-    let mut result = ExploreResult {
-        unique: 0,
-        generated: 0,
-        finals: Vec::new(),
-        final_traces: Vec::new(),
-        truncated: false,
-        violations: Vec::new(),
-        stuck: 0,
-        interrupted: None,
-        store_stats: None,
-        sym_classes: None,
-    };
-    let track = cfg.record_traces || cfg.witness_traces;
-    let mut nodes = TraceArena::new();
+    let kernel = Kernel::new(model, prog, cfg, false);
+    let mut walk = kernel.walk(0);
     let mut visited = AnyStore::new(cfg.store);
-    let mut final_nodes: Vec<usize> = Vec::new();
     // Terminal configurations deduplicated by the same fingerprint the
     // sequential engine dedups all states on: equivalent executions end
     // in the same configuration, so this is what makes the finals
@@ -310,60 +295,25 @@ where
     let mut on_path: HashMap<u128, u32> = HashMap::new();
     // Action events of the current path, with happens-before clocks.
     let mut events: Vec<PathEvent> = Vec::new();
-    // Per-thread count of executed actions along the current path.
-    let nthreads = initial.coms.len();
-    let mut tcount: Vec<u32> = vec![0; nthreads];
-
-    let budget = &cfg.budget;
-    let unlimited = budget.is_unlimited();
-    let mut tick: u64 = 0;
-
-    let fp0 = config_fingerprint(model, &initial);
-    visited.insert(fp0);
-    result.unique = 1;
-    if !unlimited {
-        result.interrupted = budget.check_now(result.unique);
-    }
-    if !inv(&initial) {
-        result.violations.push((initial.clone(), Vec::new()));
-    }
     let mut stack: Vec<Frame<M>> = Vec::new();
-    if initial.is_terminated() {
-        finals_seen.insert(fp0);
-        result.finals.push(initial);
-        final_nodes.push(TraceArena::ROOT);
-    } else if initial.coms.is_empty() {
-        // No threads at all: nothing to do.
-    } else if cfg.max_depth == 0 || model.state_size(&initial.mem) >= cfg.max_events {
-        result.truncated = true;
-    } else if result.interrupted.is_none() {
-        on_path.insert(fp0, 1);
-        stack.push(new_frame(
-            initial,
-            TraceArena::ROOT,
-            0,
-            fp0,
-            0,
-            Vec::new(),
-            0,
-        ));
+    let root = kernel.start(prog, &mut walk, &mut visited, &mut inv);
+    // Per-thread count of executed actions along the current path.
+    let nthreads = root.as_ref().map_or(0, |((c, ..), _)| c.coms.len());
+    let mut tcount: Vec<u32> = vec![0; nthreads];
+    if let Some(((initial, node, _), fp0)) = root {
+        if kernel.beyond_bounds(&initial, 0) {
+            walk.truncated = true;
+        } else {
+            on_path.insert(fp0, 1);
+            stack.push(new_frame(initial, node, 0, fp0, 0, Vec::new(), 0));
+        }
     }
 
     'outer: while let Some(pos) = stack.len().checked_sub(1) {
-        if result.interrupted.is_some() {
-            break;
-        }
         // ---- expand the next successor branch of the current thread --
         if let Some(step) = stack[pos].succs.pop() {
-            if !unlimited {
-                tick += 1;
-                if let Some(why) = budget.check(tick, result.unique) {
-                    result.interrupted = Some(why);
-                    break;
-                }
-            }
-            if result.unique >= cfg.max_states {
-                result.truncated = true;
+            let unique = 1 + walk.fresh;
+            if !kernel.admit(&mut walk, unique) {
                 break;
             }
             let ConfigStep {
@@ -375,22 +325,8 @@ where
             } = step;
             let t = tid.0 as usize - 1;
             let fp = config_fingerprint(model, &next);
-            if visited.insert(fp) {
-                result.unique += 1;
-            }
-            let new_idx = if track {
-                nodes.push(stack[pos].node_idx, TraceStep { tid, label })
-            } else {
-                TraceArena::ROOT // never dereferenced when tracking is off
-            };
-            if !inv(&next) {
-                let trace = if cfg.record_traces {
-                    nodes.trace_of(new_idx)
-                } else {
-                    Vec::new()
-                };
-                result.violations.push((next.clone(), trace));
-            }
+            walk.fresh += usize::from(visited.insert(fp));
+            let node = kernel.visit(&mut walk, stack[pos].node, (tid, label), &next, &mut inv);
             let is_tau = matches!(stack[pos].shapes[t], Some(StepShape::Tau));
             if is_tau && on_path.contains_key(&fp) {
                 // A τ spin back onto the current path: cut it; the frame
@@ -417,15 +353,12 @@ where
             };
             if next.is_terminated() {
                 if finals_seen.insert(fp) {
-                    result.finals.push(next);
-                    final_nodes.push(new_idx);
+                    walk.push_final(next, node);
                 }
                 continue;
             }
-            if stack[pos].depth + 1 >= cfg.max_depth
-                || model.state_size(&next.mem) >= cfg.max_events
-            {
-                result.truncated = true;
+            if kernel.beyond_bounds(&next, stack[pos].depth + 1) {
+                walk.truncated = true;
                 // The bound cut off the suffix whose races would have
                 // scheduled the other threads: conservatively widen
                 // every frame on the truncated path to all awake action
@@ -456,7 +389,7 @@ where
             let depth = stack[pos].depth + 1;
             stack[pos].cur_pushed = true;
             *on_path.entry(fp).or_insert(0) += 1;
-            stack.push(new_frame(next, new_idx, depth, fp, sleep, forced, ev_len));
+            stack.push(new_frame(next, node, depth, fp, sleep, forced, ev_len));
             continue;
         }
         // ---- the current thread's branches are exhausted --------------
@@ -486,7 +419,7 @@ where
                 } else {
                     succs
                 };
-                result.generated += succs.len();
+                walk.generated += succs.len();
                 frame.generated_any |= !succs.is_empty();
                 frame.cur = Some(t);
                 frame.rest = rest;
@@ -505,7 +438,7 @@ where
                                 .is_empty()
                     });
                     if !any_steps {
-                        result.stuck += 1;
+                        walk.stuck += 1;
                     }
                 }
                 let frame = stack.pop().expect("frame on stack");
@@ -526,17 +459,8 @@ where
         }
     }
 
-    if cfg.witness_traces {
-        result.final_traces = final_nodes
-            .into_iter()
-            .map(|idx| nodes.trace_of(idx))
-            .collect();
-    }
-    result.store_stats = Some(StoreStats {
-        sym: false,
-        ..visited.stats()
-    });
-    result
+    let stats = visited.stats();
+    kernel.finish([walk], Some(stats))
 }
 
 /// [`explore_source_invariant`] without an invariant.
@@ -550,7 +474,7 @@ pub fn explore_source<M: MemoryModel>(
 
 fn new_frame<M: MemoryModel>(
     config: Config<M>,
-    node_idx: usize,
+    node: NodeRef,
     depth: usize,
     fp: u128,
     sleep: SleepMask,
@@ -563,7 +487,7 @@ fn new_frame<M: MemoryModel>(
         .collect();
     Frame {
         config,
-        node_idx,
+        node,
         depth,
         fp,
         shapes,

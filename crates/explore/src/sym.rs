@@ -29,7 +29,7 @@
 //! only *split* an orbit (storing extra representatives), never merge
 //! distinct ones.
 
-use crate::engine::config_fingerprint;
+use crate::kernel::config_fingerprint;
 use c11_core::config::Config;
 use c11_core::fingerprint::{combine128, hash128_of};
 use c11_core::model::MemoryModel;

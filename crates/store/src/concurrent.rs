@@ -1,14 +1,14 @@
 //! The concurrent visited store of the parallel engine.
 //!
 //! [`CasFilter`] is the striped lock-free CAS-claim membership filter the
-//! parallel engine has used since it went contention-free: inserts are
-//! plain CAS races under a shared stripe guard, the per-stripe `RwLock`
-//! is only taken exclusively to double a stripe. It serves both the
-//! flat and the symmetry store kinds — symmetry lives in the *key* the
-//! engine computes, not in the storage — and reports the same
-//! [`StoreStats`] as the sequential stores.
+//! parallel workers share: inserts are plain CAS races under a shared
+//! stripe guard, the per-stripe `RwLock` is only taken exclusively to
+//! double a stripe. It serves both store kinds — symmetry lives in the
+//! *key* the engine computes, not in the storage. A stripe grows on the
+//! fresh insert that takes it to ¾ load, never on a lookup, so its size
+//! depends only on the set of keys inserted, not on how the workers
+//! interleaved: `bytes_resident` repeats from run to run.
 
-use crate::{StoreKind, StoreStats};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -66,8 +66,9 @@ struct Slot {
 }
 
 enum Probe {
-    /// The key was absent; this call inserted it.
-    Fresh,
+    /// The key was absent; this call inserted it, leaving the table with
+    /// this many entries.
+    Fresh(usize),
     /// The key was already present.
     Present,
     /// Probing wrapped without finding the key or a free slot.
@@ -115,8 +116,7 @@ impl Table {
                     Ok(_) => {
                         slot.hi.store(hi, Ordering::Release);
                         slot.lo.store(lo, Ordering::Release);
-                        self.occupied.fetch_add(1, Ordering::Relaxed);
-                        return Probe::Fresh;
+                        return Probe::Fresh(self.occupied.fetch_add(1, Ordering::Relaxed) + 1);
                     }
                     Err(seen) => cur = seen,
                 }
@@ -134,31 +134,16 @@ impl Table {
         Probe::Full
     }
 
-    /// Moves every entry into `bigger`. Exclusive access (write guard):
-    /// no claims can be in flight, so plain relaxed traffic suffices.
+    /// Moves every entry into `bigger`. Runs under the write guard, so
+    /// no claim is in flight.
     fn rehash_into(&self, bigger: &Table) {
-        let mask = bigger.slots.len() - 1;
         for slot in self.slots.iter() {
             let lo = slot.lo.load(Ordering::Relaxed);
             debug_assert_ne!(lo, SLOT_CLAIMED, "claims cannot survive a write lock");
-            if lo == SLOT_EMPTY {
-                continue;
-            }
-            let hi = slot.hi.load(Ordering::Relaxed);
-            let mut i = slot_start(lo, hi) & mask;
-            loop {
-                let s = &bigger.slots[i];
-                if s.lo.load(Ordering::Relaxed) == SLOT_EMPTY {
-                    s.hi.store(hi, Ordering::Relaxed);
-                    s.lo.store(lo, Ordering::Relaxed);
-                    break;
-                }
-                i = (i + 1) & mask;
+            if lo != SLOT_EMPTY {
+                bigger.probe_insert(lo, slot.hi.load(Ordering::Relaxed));
             }
         }
-        bigger
-            .occupied
-            .store(self.occupied.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 }
 
@@ -172,7 +157,6 @@ struct Padded<T>(T);
 /// state discovery — exactly one worker gets `true` per fingerprint.
 pub struct CasFilter {
     shards: Vec<Padded<RwLock<Table>>>,
-    dedup_hits: AtomicUsize,
 }
 
 impl Default for CasFilter {
@@ -188,67 +172,44 @@ impl CasFilter {
             shards: (0..FILTER_SHARDS)
                 .map(|_| Padded(RwLock::new(Table::new(FILTER_INITIAL_SLOTS))))
                 .collect(),
-            dedup_hits: AtomicUsize::new(0),
         }
     }
 
     /// Inserts the fingerprint; `true` iff it was fresh. The hot path
     /// takes a shared stripe guard and does one CAS; the write lock is
-    /// only taken to double a stripe past ¾ load.
+    /// only taken to double a stripe.
     pub fn insert(&self, key: u128) -> bool {
         let (lo, hi) = split_key(key);
         let shard = &self.shards[shard_of(key)].0;
         loop {
-            let seen_cap = {
+            let (probe, cap) = {
                 let table = shard.read();
-                // Grow ahead of ¾ load: linear probing degrades sharply
-                // past it, and headroom absorbs concurrent overshoot.
-                if table.occupied.load(Ordering::Relaxed) * 4 < table.slots.len() * 3 {
-                    match table.probe_insert(lo, hi) {
-                        Probe::Fresh => return true,
-                        Probe::Present => {
-                            self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                            return false;
-                        }
-                        Probe::Full => {}
-                    }
-                }
-                table.slots.len()
+                (table.probe_insert(lo, hi), table.slots.len())
             };
-            grow(shard, seen_cap);
+            match probe {
+                Probe::Present => return false,
+                Probe::Fresh(occupied) => {
+                    // Linear probing degrades sharply past ¾ load. Growing
+                    // here, and only here, makes the final stripe size the
+                    // smallest one holding its keys under ¾ load.
+                    if occupied * 4 >= cap * 3 {
+                        grow(shard, cap);
+                    }
+                    return true;
+                }
+                Probe::Full => grow(shard, cap),
+            }
         }
     }
 
-    /// Number of distinct keys stored, summed over stripes. Exact once
-    /// concurrent inserts have quiesced.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.0.read().occupied.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// `true` iff no key is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The filter's accounting snapshot (stripes summed), labelled with
-    /// the store kind and symmetry flag the engine ran under.
-    pub fn stats(&self, kind: StoreKind, sym: bool) -> StoreStats {
-        let bytes = std::mem::size_of::<Self>()
+    /// Exact bytes resident in the filter's stripes.
+    pub fn bytes_resident(&self) -> usize {
+        std::mem::size_of::<Self>()
             + self
                 .shards
                 .iter()
                 .map(|s| s.0.read().slots.len() * std::mem::size_of::<Slot>())
-                .sum::<usize>();
-        StoreStats {
-            kind,
-            sym,
-            bytes_resident: bytes,
-            nodes: 0,
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-        }
+                .sum::<usize>()
     }
 }
 
@@ -277,21 +238,42 @@ mod tests {
         }
     }
 
+    fn scrambled(n: u128) -> Vec<u128> {
+        (0..n)
+            .map(|i| i.wrapping_mul(0x0123_4567_89ab_cdef_fedc_ba98_7654_3211))
+            .collect()
+    }
+
     #[test]
     fn filter_inserts_each_key_exactly_once() {
         let filter = CasFilter::new();
+        let empty = filter.bytes_resident();
         // Enough keys to force several doublings of every stripe.
-        let keys: Vec<u128> = (0..10_000u128)
-            .map(|i| i.wrapping_mul(0x0123_4567_89ab_cdef_fedc_ba98_7654_3211))
-            .collect();
+        let keys = scrambled(10_000);
         for &k in &keys {
             assert!(filter.insert(k), "first insert of {k:x} must be fresh");
         }
         for &k in &keys {
             assert!(!filter.insert(k), "second insert of {k:x} must dedup");
         }
-        assert_eq!(filter.len(), keys.len());
-        assert_eq!(filter.stats(StoreKind::Flat, false).dedup_hits, keys.len());
+        assert!(filter.bytes_resident() > empty, "the stripes grew");
+    }
+
+    #[test]
+    fn stripe_sizes_depend_only_on_the_key_set() {
+        let keys = scrambled(5_000);
+        let forward = CasFilter::new();
+        for &k in &keys {
+            forward.insert(k);
+        }
+        // Reverse order, with every key looked up again right away: the
+        // lookups must not grow anything.
+        let reverse = CasFilter::new();
+        for &k in keys.iter().rev() {
+            reverse.insert(k);
+            reverse.insert(k);
+        }
+        assert_eq!(forward.bytes_resident(), reverse.bytes_resident());
     }
 
     #[test]
@@ -333,5 +315,11 @@ mod tests {
             distinct as usize,
             "each distinct key must be claimed exactly once"
         );
+        // The racing inserts sized the stripes as one thread would have.
+        let serial = CasFilter::new();
+        for i in 0..distinct {
+            serial.insert(i.wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835));
+        }
+        assert_eq!(filter.bytes_resident(), serial.bytes_resident());
     }
 }

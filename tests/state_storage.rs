@@ -2,8 +2,8 @@
 //! canonical fingerprint is invariant under class permutations (the
 //! soundness property of `--store sym`, checked on random programs),
 //! every `--store` backend agrees with the flat reference on verdicts
-//! and final snapshots across both engines, and the symmetric shapes
-//! shrink under the quotient.
+//! and final snapshots across both engines, both engines report the same
+//! store block, and the symmetric shapes shrink under the quotient.
 
 use c11_operational::core::config::Config;
 use c11_operational::core::fingerprint::{combine128, hash128_of};
@@ -222,6 +222,41 @@ fn corpus_final_snapshots_agree_across_stores_and_backends() {
                     );
                     assert_eq!(res.unique, reference.unique, "{}: unique", test.name);
                 }
+            }
+        }
+    }
+}
+
+/// The store block is part of the exhaustive contract: the sequential
+/// engine and the parallel engine at any worker count report the same
+/// `kind`, `symmetry` and `dedup_hits` (inserts minus fresh inserts), and
+/// the parallel engine's `bytes_resident` repeats from run to run.
+#[test]
+fn both_engines_report_the_same_store_block() {
+    for test in full_corpus() {
+        let prog = parse_program(&test.source).expect("corpus programs parse");
+        let base = ExploreConfig::default()
+            .max_events(test.max_events)
+            .record_traces(false);
+        let lanes = [
+            ("--symmetry", base.clone().symmetry(true)),
+            ("--store sym", base.store(StoreKind::Sym)),
+        ];
+        for (lane, cfg) in lanes {
+            let seq = SequentialBackend.run(&RaModel, &prog, &cfg);
+            let want = seq.store_stats.expect("dedup is on");
+            let kind = if want.sym { StoreKind::Sym } else { cfg.store };
+            assert_eq!(want.kind, kind, "{} {lane}: kind", test.name);
+            assert_eq!(want.dedup_hits, seq.generated + 1 - seq.unique);
+            for workers in [1, 2, 4] {
+                let par = ParallelBackend::new(workers);
+                let got = par.run(&RaModel, &prog, &cfg).store_stats.expect("store");
+                let what = format!("{} {lane} workers={workers}", test.name);
+                assert_eq!(got.kind, want.kind, "{what}: kind");
+                assert_eq!(got.sym, want.sym, "{what}: symmetry");
+                assert_eq!(got.dedup_hits, want.dedup_hits, "{what}: dedup_hits");
+                let again = par.run(&RaModel, &prog, &cfg).store_stats.expect("store");
+                assert_eq!(got, again, "{what}: a second run");
             }
         }
     }
